@@ -103,6 +103,60 @@ else
   fi
 fi
 
+# Daemon boot shared by the smoke legs below. Starts a metadata, a storage
+# and (unless its flags are "none") an active daemon from <build_dir>, each
+# logging to <dir>/<role>.log, and waits until each has logged its address.
+# The per-role flag strings split into words. Sets META_ADDR, METRICS_URL
+# (empty without --metrics-listen), STORAGE_ADDR, STORAGE_PID and
+# ACTIVE_ADDR, and appends every PID to DAEMON_PIDS for stop_daemons.
+# Returns non-zero, naming the role, when a daemon does not come up.
+#   boot_daemons <build_dir> <dir> <metadata flags> <storage flags> <active flags>
+DAEMON_PIDS=()
+stop_daemons() {
+  kill "${DAEMON_PIDS[@]}" 2>/dev/null || true
+  DAEMON_PIDS=()
+}
+
+# Polls <log> for up to 10 s until the sed script <expr> prints; echoes it.
+wait_for_log() {
+  local log="$1" expr="$2" value=""
+  for _ in $(seq 100); do
+    value="$(sed -n "${expr}" "${log}")"
+    [[ -n "${value}" ]] && break
+    sleep 0.1
+  done
+  printf '%s' "${value}"
+}
+
+boot_daemons() {
+  local daemon="$1/tools/glider_daemon" dir="$2"
+  local meta_flags="$3" storage_flags="$4" active_flags="$5"
+  META_ADDR="" METRICS_URL="" STORAGE_ADDR="" STORAGE_PID="" ACTIVE_ADDR=""
+  "${daemon}" metadata --listen 127.0.0.1:0 ${meta_flags} \
+    >"${dir}/metadata.log" 2>&1 &
+  DAEMON_PIDS+=($!)
+  META_ADDR="$(wait_for_log "${dir}/metadata.log" \
+    's/^metadata server listening at \(.*\)$/\1/p')"
+  [[ -n "${META_ADDR}" ]] || { echo "metadata daemon did not come up"; return 1; }
+  METRICS_URL="$(sed -n 's/^metrics at \(.*\)$/\1/p' "${dir}/metadata.log")"
+
+  "${daemon}" storage --metadata "${META_ADDR}" ${storage_flags} \
+    >"${dir}/storage.log" 2>&1 &
+  STORAGE_PID=$!
+  DAEMON_PIDS+=("${STORAGE_PID}")
+  STORAGE_ADDR="$(wait_for_log "${dir}/storage.log" \
+    's/^storage server (.*) at \([^,]*\), registered .*$/\1/p')"
+  [[ -n "${STORAGE_ADDR}" ]] || { echo "storage daemon did not come up"; return 1; }
+
+  [[ "${active_flags}" == "none" ]] && return 0
+  "${daemon}" active --metadata "${META_ADDR}" ${active_flags} \
+    >"${dir}/active.log" 2>&1 &
+  DAEMON_PIDS+=($!)
+  ACTIVE_ADDR="$(wait_for_log "${dir}/active.log" \
+    's/^active server (.*) at \([^,]*\), registered .*$/\1/p')"
+  [[ -n "${ACTIVE_ADDR}" ]] || { echo "active daemon did not come up"; return 1; }
+}
+
 echo
 echo "== profiler smoke: daemon --profile + workload + glider_cli profile =="
 # Boots a minimal TCP deployment with continuous profiling on, streams a
@@ -113,38 +167,11 @@ echo "== profiler smoke: daemon --profile + workload + glider_cli profile =="
 SMOKE_DIR="build/profile-smoke"
 rm -rf "${SMOKE_DIR}"
 mkdir -p "${SMOKE_DIR}"
-SMOKE_PIDS=()
-cleanup_smoke() { kill "${SMOKE_PIDS[@]}" 2>/dev/null || true; }
-trap cleanup_smoke EXIT
-
-build/tools/glider_daemon metadata --listen 127.0.0.1:0 \
-  >"${SMOKE_DIR}/metadata.log" 2>&1 &
-SMOKE_PIDS+=($!)
-META_ADDR=""
-for _ in $(seq 100); do
-  META_ADDR="$(sed -n 's/^metadata server listening at \(.*\)$/\1/p' \
-    "${SMOKE_DIR}/metadata.log")"
-  [[ -n "${META_ADDR}" ]] && break
-  sleep 0.1
-done
-[[ -n "${META_ADDR}" ]] || { echo "metadata daemon did not come up"; exit 1; }
-
-build/tools/glider_daemon storage --metadata "${META_ADDR}" --blocks 256 \
-  >"${SMOKE_DIR}/storage.log" 2>&1 &
-SMOKE_PIDS+=($!)
+trap stop_daemons EXIT
 # 997 Hz (vs the 99 Hz default) so even this short workload lands enough
 # samples for a deterministic non-empty dump.
-build/tools/glider_daemon active --metadata "${META_ADDR}" --profile-hz 997 \
-  >"${SMOKE_DIR}/active.log" 2>&1 &
-SMOKE_PIDS+=($!)
-ACTIVE_ADDR=""
-for _ in $(seq 100); do
-  ACTIVE_ADDR="$(sed -n 's/^active server (.*) at \([^,]*\), registered .*$/\1/p' \
-    "${SMOKE_DIR}/active.log")"
-  [[ -n "${ACTIVE_ADDR}" ]] && break
-  sleep 0.1
-done
-[[ -n "${ACTIVE_ADDR}" ]] || { echo "active daemon did not come up"; exit 1; }
+boot_daemons build "${SMOKE_DIR}" "" "--blocks 256" "--profile-hz 997" \
+  || exit 1
 
 build/tools/glider_cli --metadata "${META_ADDR}" action-create /smoke glider.merge
 for _ in $(seq 10); do
@@ -156,7 +183,7 @@ build/tools/glider_cli --metadata "${META_ADDR}" profile "${ACTIVE_ADDR}" \
 [[ -s "${SMOKE_DIR}/active.folded" ]] \
   || { echo "profiler smoke: empty folded output"; exit 1; }
 echo "profiler smoke: $(wc -l <"${SMOKE_DIR}/active.folded") folded stacks (archived in ${SMOKE_DIR})"
-cleanup_smoke
+stop_daemons
 trap - EXIT
 
 echo
@@ -168,36 +195,10 @@ echo "== health smoke: daemon --health-ms + node kill + glider_cli health =="
 HEALTH_DIR="build/health-smoke"
 rm -rf "${HEALTH_DIR}"
 mkdir -p "${HEALTH_DIR}"
-HEALTH_PIDS=()
-cleanup_health() { kill "${HEALTH_PIDS[@]}" 2>/dev/null || true; }
-trap cleanup_health EXIT
-
-build/tools/glider_daemon metadata --listen 127.0.0.1:0 --health-ms 100 \
-  --metrics-listen 127.0.0.1:0 >"${HEALTH_DIR}/metadata.log" 2>&1 &
-HEALTH_PIDS+=($!)
-META_ADDR=""
-for _ in $(seq 100); do
-  META_ADDR="$(sed -n 's/^metadata server listening at \(.*\)$/\1/p' \
-    "${HEALTH_DIR}/metadata.log")"
-  [[ -n "${META_ADDR}" ]] && break
-  sleep 0.1
-done
-[[ -n "${META_ADDR}" ]] || { echo "metadata daemon did not come up"; exit 1; }
-METRICS_URL="$(sed -n 's/^metrics at \(.*\)$/\1/p' "${HEALTH_DIR}/metadata.log")"
+trap stop_daemons EXIT
+boot_daemons build "${HEALTH_DIR}" \
+  "--health-ms 100 --metrics-listen 127.0.0.1:0" "--blocks 64" none || exit 1
 [[ -n "${METRICS_URL}" ]] || { echo "metadata daemon exposed no /metrics"; exit 1; }
-
-build/tools/glider_daemon storage --metadata "${META_ADDR}" --blocks 64 \
-  >"${HEALTH_DIR}/storage.log" 2>&1 &
-STORAGE_PID=$!
-HEALTH_PIDS+=("${STORAGE_PID}")
-STORAGE_ADDR=""
-for _ in $(seq 100); do
-  STORAGE_ADDR="$(sed -n 's/^storage server (.*) at \([^,]*\), registered .*$/\1/p' \
-    "${HEALTH_DIR}/storage.log")"
-  [[ -n "${STORAGE_ADDR}" ]] && break
-  sleep 0.1
-done
-[[ -n "${STORAGE_ADDR}" ]] || { echo "storage daemon did not come up"; exit 1; }
 
 # Let the monitor discover the storage server and mark it alive first.
 ALIVE=0
@@ -232,7 +233,7 @@ grep -q "glider_health_phi" "${HEALTH_DIR}/metrics.txt" \
   || { echo "health smoke: /metrics has no glider_health_phi gauges"; exit 1; }
 echo "health smoke: dead peer detected, $(grep -c glider_health_phi \
   "${HEALTH_DIR}/metrics.txt") phi gauge lines on /metrics"
-cleanup_health
+stop_daemons
 trap - EXIT
 
 # Trace-assembly smoke: boots a 3-daemon deployment with span tracing on,
@@ -248,45 +249,18 @@ trace_smoke() {
   local smoke_dir="${build_dir}/trace-smoke"
   rm -rf "${smoke_dir}"
   mkdir -p "${smoke_dir}"
-  TRACE_PIDS=()
-  cleanup_trace() { kill "${TRACE_PIDS[@]}" 2>/dev/null || true; }
-  trap cleanup_trace EXIT
-
-  "${build_dir}/tools/glider_daemon" metadata --listen 127.0.0.1:0 --trace 1 \
-    >"${smoke_dir}/metadata.log" 2>&1 &
-  TRACE_PIDS+=($!)
-  local meta_addr=""
-  for _ in $(seq 100); do
-    meta_addr="$(sed -n 's/^metadata server listening at \(.*\)$/\1/p' \
-      "${smoke_dir}/metadata.log")"
-    [[ -n "${meta_addr}" ]] && break
-    sleep 0.1
-  done
-  [[ -n "${meta_addr}" ]] || { echo "trace smoke: metadata daemon did not come up"; return 1; }
-
-  "${build_dir}/tools/glider_daemon" storage --metadata "${meta_addr}" \
-    --blocks 256 --trace 1 >"${smoke_dir}/storage.log" 2>&1 &
-  TRACE_PIDS+=($!)
-  "${build_dir}/tools/glider_daemon" active --metadata "${meta_addr}" \
-    --trace 1 >"${smoke_dir}/active.log" 2>&1 &
-  TRACE_PIDS+=($!)
-  local active_addr=""
-  for _ in $(seq 100); do
-    active_addr="$(sed -n 's/^active server (.*) at \([^,]*\), registered .*$/\1/p' \
-      "${smoke_dir}/active.log")"
-    [[ -n "${active_addr}" ]] && break
-    sleep 0.1
-  done
-  [[ -n "${active_addr}" ]] || { echo "trace smoke: active daemon did not come up"; return 1; }
+  trap stop_daemons EXIT
+  boot_daemons "${build_dir}" "${smoke_dir}" "--trace 1" "--blocks 256 --trace 1" \
+    "--trace 1" || { echo "trace smoke: daemons did not come up"; return 1; }
 
   # A short traced open-loop workload: the request spans land in the
   # daemons' ring buffers (the client's own spans die with glider_load —
   # exactly the orphan-grafting path the assembler must handle).
-  "${build_dir}/tools/glider_load" --trace --metadata "${meta_addr}" \
+  "${build_dir}/tools/glider_load" --trace --metadata "${META_ADDR}" \
     examples/specs/ci_smoke.spec >"${smoke_dir}/load.log" 2>&1 \
     || { echo "trace smoke: glider_load failed"; cat "${smoke_dir}/load.log"; return 1; }
 
-  "${build_dir}/tools/glider_trace" assemble --metadata "${meta_addr}" \
+  "${build_dir}/tools/glider_trace" assemble --metadata "${META_ADDR}" \
     --check --out "${smoke_dir}/merged_trace.json" \
     >"${smoke_dir}/assemble.log" 2>&1 \
     || { echo "trace smoke: glider_trace --check failed"; cat "${smoke_dir}/assemble.log"; return 1; }
@@ -294,7 +268,7 @@ trace_smoke() {
     || { echo "trace smoke: empty merged Perfetto JSON"; return 1; }
   echo "trace smoke: $(grep -o '"ph":"X"' "${smoke_dir}/merged_trace.json" \
     | wc -l) merged span events (archived in ${smoke_dir})"
-  cleanup_trace
+  stop_daemons
   trap - EXIT
 }
 
@@ -313,45 +287,17 @@ attr_smoke() {
   local smoke_dir="${build_dir}/attr-smoke"
   rm -rf "${smoke_dir}"
   mkdir -p "${smoke_dir}"
-  ATTR_PIDS=()
-  cleanup_attr() { kill "${ATTR_PIDS[@]}" 2>/dev/null || true; }
-  trap cleanup_attr EXIT
+  trap stop_daemons EXIT
+  boot_daemons "${build_dir}" "${smoke_dir}" \
+    "--trace 1 --metrics-listen 127.0.0.1:0" "--blocks 256 --trace 1" \
+    "--trace 1" || { echo "attr smoke: daemons did not come up"; return 1; }
+  [[ -n "${METRICS_URL}" ]] || { echo "attr smoke: metadata daemon exposed no /metrics"; return 1; }
 
-  "${build_dir}/tools/glider_daemon" metadata --listen 127.0.0.1:0 --trace 1 \
-    --metrics-listen 127.0.0.1:0 >"${smoke_dir}/metadata.log" 2>&1 &
-  ATTR_PIDS+=($!)
-  local meta_addr=""
-  for _ in $(seq 100); do
-    meta_addr="$(sed -n 's/^metadata server listening at \(.*\)$/\1/p' \
-      "${smoke_dir}/metadata.log")"
-    [[ -n "${meta_addr}" ]] && break
-    sleep 0.1
-  done
-  [[ -n "${meta_addr}" ]] || { echo "attr smoke: metadata daemon did not come up"; return 1; }
-  local metrics_url
-  metrics_url="$(sed -n 's/^metrics at \(.*\)$/\1/p' "${smoke_dir}/metadata.log")"
-  [[ -n "${metrics_url}" ]] || { echo "attr smoke: metadata daemon exposed no /metrics"; return 1; }
-
-  "${build_dir}/tools/glider_daemon" storage --metadata "${meta_addr}" \
-    --blocks 256 --trace 1 >"${smoke_dir}/storage.log" 2>&1 &
-  ATTR_PIDS+=($!)
-  "${build_dir}/tools/glider_daemon" active --metadata "${meta_addr}" \
-    --trace 1 >"${smoke_dir}/active.log" 2>&1 &
-  ATTR_PIDS+=($!)
-  local active_addr=""
-  for _ in $(seq 100); do
-    active_addr="$(sed -n 's/^active server (.*) at \([^,]*\), registered .*$/\1/p' \
-      "${smoke_dir}/active.log")"
-    [[ -n "${active_addr}" ]] && break
-    sleep 0.1
-  done
-  [[ -n "${active_addr}" ]] || { echo "attr smoke: active daemon did not come up"; return 1; }
-
-  "${build_dir}/tools/glider_load" --trace --metadata "${meta_addr}" \
+  "${build_dir}/tools/glider_load" --trace --metadata "${META_ADDR}" \
     examples/specs/ci_attr.spec >"${smoke_dir}/load.log" 2>&1 \
     || { echo "attr smoke: glider_load failed"; cat "${smoke_dir}/load.log"; return 1; }
 
-  "${build_dir}/tools/glider_cli" --metadata "${meta_addr}" ledger \
+  "${build_dir}/tools/glider_cli" --metadata "${META_ADDR}" ledger \
     --by principal >"${smoke_dir}/ledger.txt" \
     || { echo "attr smoke: glider_cli ledger failed"; return 1; }
   local tenant
@@ -366,13 +312,13 @@ attr_smoke() {
   # are negotiated via Accept: the classic (default) scrape must stay
   # exemplar-free or a stock Prometheus parser rejects the whole page.
   python3 -c "import urllib.request,sys; sys.stdout.write(
-      urllib.request.urlopen('${metrics_url}', timeout=10).read().decode())" \
+      urllib.request.urlopen('${METRICS_URL}', timeout=10).read().decode())" \
     >"${smoke_dir}/metrics_classic.txt"
   if grep -q '# {trace_id=' "${smoke_dir}/metrics_classic.txt"; then
     echo "attr smoke: classic /metrics leaks OpenMetrics exemplars"; return 1
   fi
   python3 -c "import urllib.request,sys; sys.stdout.write(
-      urllib.request.urlopen(urllib.request.Request('${metrics_url}',
+      urllib.request.urlopen(urllib.request.Request('${METRICS_URL}',
           headers={'Accept': 'application/openmetrics-text; version=1.0.0'}),
           timeout=10).read().decode())" \
     >"${smoke_dir}/metrics.txt"
@@ -382,7 +328,7 @@ attr_smoke() {
     || { echo "attr smoke: OpenMetrics /metrics missing # EOF terminator"; return 1; }
   echo "attr smoke: both tenants billed, $(grep -c '# {trace_id=' \
     "${smoke_dir}/metrics.txt") exemplar lines on /metrics (archived in ${smoke_dir})"
-  cleanup_attr
+  stop_daemons
   trap - EXIT
 }
 

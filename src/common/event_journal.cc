@@ -21,7 +21,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kPeerDead: return "peer_dead";
     case EventType::kSlotStall: return "slot_stall";
     case EventType::kHotspot: return "hotspot";
-    case EventType::kFlushStorm: return "flush_storm";
     case EventType::kPoolExhausted: return "pool_exhausted";
   }
   return "unknown";

@@ -1,14 +1,13 @@
 // Structured event journal (DESIGN.md "Cluster health plane").
 //
 // A bounded, lock-light log of typed *system* events — server up/down,
-// peer suspect/alive/dead transitions, slot stalls, coalescer deadline-flush
-// storms, buffer-pool exhaustion — the discrete state changes that metrics
-// rates smear out and traces only capture when a request happens to be in
-// flight. Records go to per-thread rings (one mutex per thread, same idiom
-// as TraceRecorder's thread buffers, so recording never contends across
-// threads); Snapshot() merges the rings sorted by timestamp. Each ring is
-// bounded: the newest events win and an overwrite counter reports how many
-// were dropped.
+// peer suspect/alive/dead transitions, slot stalls, buffer-pool exhaustion
+// — the discrete state changes that metrics rates smear out and traces
+// only capture when a request happens to be in flight. Records go to
+// per-thread rings (one mutex per thread, same idiom as TraceRecorder's
+// thread buffers, so recording never contends across threads); Snapshot()
+// merges the rings sorted by timestamp. Each ring is bounded: the newest
+// events win and an overwrite counter reports how many were dropped.
 //
 // Unlike tracing, the journal is always on — events are rare (state
 // transitions, not per-request), so there is nothing to gate. When a trace
@@ -31,7 +30,6 @@ enum class EventType : std::uint8_t {
   kPeerDead = 4,      // scope = peer address, value = phi (milli)
   kSlotStall = 5,     // scope = "slot<i>", detail = action, value = run_us
   kHotspot = 6,       // scope = "slot<i>", value = load share (milli)
-  kFlushStorm = 7,    // scope = transport, value = consecutive flushes
   kPoolExhausted = 8, // scope = pool, value = consecutive misses
 };
 

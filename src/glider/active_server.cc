@@ -104,9 +104,9 @@ struct ActiveServer::Slot {
   Buffer config;
 
   // Per-slot resource accounting ("active.slot<i>.*"), resolved once at
-  // server construction; updates are relaxed atomics behind the
-  // obs::Enabled() gate. `queue_depth` counts methods submitted but not
-  // yet admitted by the monitor; `cpu_us` is method thread CPU time
+  // server construction; updates are relaxed atomics, always on (the load
+  // index reads them). `queue_depth` counts methods submitted but not yet
+  // admitted by the monitor; `cpu_us` is method thread CPU time
   // (CLOCK_THREAD_CPUTIME_ID), the cost-attribution signal glider_top
   // uses to blame cluster load on individual actions.
   struct Stats {
@@ -147,18 +147,19 @@ struct ActiveServer::Stream {
 
 namespace {
 
-// Context handed to action methods.
+// Context handed to action methods. Reads the slot's config on use: a
+// create turn installs the config after the context is built.
 class ServerActionContext : public ActionContext {
  public:
-  ServerActionContext(nk::StoreClient* store, ByteSpan config)
+  ServerActionContext(nk::StoreClient* store, const Buffer* config)
       : store_(store), config_(config) {}
 
   nk::StoreClient& store() override { return *store_; }
-  ByteSpan config() const override { return config_; }
+  ByteSpan config() const override { return config_->span(); }
 
  private:
   nk::StoreClient* store_;
-  ByteSpan config_;
+  const Buffer* config_;
 };
 
 // Input stream over a write-stream channel: pops tasks in order; EOS task
@@ -268,18 +269,18 @@ class ChannelOutputStream : public ActionOutputStream {
 
 // Observability for one action-method execution. Captured on the network
 // worker at submit time (while the RPC server span is the current context),
-// then consumed on the action thread: the submit->monitor-admit gap becomes
-// the queue-wait span, monitor-admit->exit the run span, each feeding an
-// "action.<method>.{queue,run}_us" histogram.
+// then consumed on the action thread by Dispatch's invocation record: the
+// submit->monitor-admit gap becomes the queue-wait span, monitor-admit->exit
+// the run span. `active` is captured too, so a turn submitted with
+// observability off emits nothing even if it is switched on meanwhile.
 struct MethodTrace {
   bool active = false;
   obs::TraceContext parent;
   obs::PrincipalId principal = 0;  // caller's tenant, captured at submit
   std::uint64_t submit_us = 0;
   std::uint64_t run_span_id = 0;  // pre-allocated: the run span's id
-  const char* method = "";
 
-  static MethodTrace Begin(const char* method) {
+  static MethodTrace Begin() {
     MethodTrace t;
     if (!obs::Enabled()) return t;
     t.active = true;
@@ -287,7 +288,6 @@ struct MethodTrace {
     t.principal = obs::CurrentPrincipal();
     t.submit_us = obs::TraceNowMicros();
     t.run_span_id = obs::NewSpanId();
-    t.method = method;
     return t;
   }
 
@@ -299,52 +299,33 @@ struct MethodTrace {
     if (!active || parent.trace_id == 0) return parent;
     return obs::TraceContext{parent.trace_id, run_span_id};
   }
-
-  // Call once the monitor admits the method; returns the run start time.
-  // Call with the method's profile tag installed: the queue wait becomes an
-  // off-CPU sample attributed to the method that was kept waiting.
-  std::uint64_t EnterRun() const {
-    if (!active) return 0;
-    const std::uint64_t now = obs::TraceNowMicros();
-    obs::SamplingProfiler::Global().AddWaitSample("action.queue",
-                                                  now - submit_us);
-    obs::RecordSpan("action", std::string("action.") + method + ".queue",
-                    parent, obs::NewSpanId(), submit_us, now);
-    obs::MetricsRegistry::Global()
-        .GetHistogram(std::string("action.") + method + ".queue_us")
-        .Record(now - submit_us);
-    obs::LedgerCell wait;
-    wait.queue_us = now - submit_us;
-    obs::ResourceLedger::Global().Charge(
-        principal, std::string("action.") + method, wait);
-    return now;
-  }
-
-  void FinishRun(std::uint64_t run_start_us) const {
-    if (!active) return;
-    const std::uint64_t now = obs::TraceNowMicros();
-    obs::RecordSpan("action", std::string("action.") + method + ".run",
-                    parent, run_span_id, run_start_us, now);
-    obs::MetricsRegistry::Global()
-        .GetHistogram(std::string("action.") + method + ".run_us")
-        .Record(now - run_start_us);
-  }
-
-  // Bills `cpu_us` of action-thread CPU (the same delta the per-slot
-  // cpu_us counter receives) plus one invocation to the caller's tenant,
-  // keyed "action.<method>" — the ledger's action-plane cpu therefore sums
-  // exactly to the per-slot accounting.
-  void ChargeCpu(std::uint64_t cpu_us) const {
-    if (!active) return;
-    obs::LedgerCell cell;
-    cell.cpu_us = cpu_us;
-    cell.invocations = 1;
-    obs::ResourceLedger::Global().Charge(
-        principal, std::string("action.") + method, cell);
-  }
 };
 
+// An RPC-answered turn's reply step: `payload` on success, else the error.
+auto Answer(net::Responder responder, net::Message request, Status status,
+            Buffer payload = {}) {
+  return [responder = std::move(responder), request = std::move(request),
+          status = std::move(status), payload = std::move(payload)]() mutable {
+    if (status.ok()) {
+      responder.SendOk(request, std::move(payload));
+    } else {
+      responder.SendError(request, status);
+    }
+  };
+}
+
 }  // namespace
+
+// Observable names of one method turn, built once per server so a turn
+// builds no span, ledger or histogram name and looks up no histogram.
+struct ActiveServer::MethodObs {
+  const char* method = "";  // "onWrite"
+  std::string ledger_op;    // "action.onWrite"
+  std::string queue_span;   // "action.onWrite.queue"
+  std::string run_span;     // "action.onWrite.run"
+  obs::LatencyHistogram* queue_us = nullptr;  // "action.onWrite.queue_us"
+  obs::LatencyHistogram* run_us = nullptr;    // "action.onWrite.run_us"
+};
 
 ActiveServer::ActiveServer(Options options,
                            std::shared_ptr<ActionRegistry> registry,
@@ -356,6 +337,14 @@ ActiveServer::ActiveServer(Options options,
   auto& reg = obs::MetricsRegistry::Global();
   total_queue_depth_ = &reg.GetGauge("active.queue_depth");
   total_stalls_ = &reg.GetCounter("active.stalls");
+  // Indexed by Method. The stat turn runs the action's StateBytes().
+  for (const char* method :
+       {"onCreate", "onDelete", "StateBytes", "onWrite", "onRead"}) {
+    const std::string op = std::string("action.") + method;
+    method_obs_.push_back(MethodObs{method, op, op + ".queue", op + ".run",
+                                    &reg.GetHistogram(op + ".queue_us"),
+                                    &reg.GetHistogram(op + ".run_us")});
+  }
   slots_.reserve(options_.num_slots);
   for (std::uint32_t i = 0; i < options_.num_slots; ++i) {
     auto slot = std::make_shared<Slot>();
@@ -636,6 +625,80 @@ Result<std::shared_ptr<ActiveServer::Slot>> ActiveServer::GetSlot(
   return slot;
 }
 
+template <typename Run>
+Status ActiveServer::Dispatch(const std::shared_ptr<Slot>& slot, Method method,
+                              std::string type, Run run) {
+  const MethodObs& names = method_obs_[static_cast<std::size_t>(method)];
+  const MethodTrace mt = MethodTrace::Begin();
+  slot->stats.queue_depth->Add(1);
+  total_queue_depth_->Add(1);
+  auto turn = [this, slot, &names, mt, type = std::move(type),
+               run = std::move(run)]() mutable {
+    slot->monitor.Enter();
+    slot->stats.queue_depth->Add(-1);
+    total_queue_depth_->Add(-1);
+    const std::uint64_t run_start_us =
+        mt.active ? obs::TraceNowMicros() : 0;
+    // "<type>.<method>" keys the method sketch and, prefixed with the slot,
+    // tags every profiler sample this thread takes while the method runs.
+    // Built only when one of them is on; read under the turn, which orders
+    // it after any create that rewrote the slot's type.
+    const bool profiling = obs::SamplingProfiler::ActiveFast();
+    std::string method_key;
+    if (mt.active || profiling) {
+      method_key = (type.empty() ? slot->action_type : type) + "." +
+                   names.method;
+    }
+    std::string profile_tag;
+    if (profiling) {
+      profile_tag = "slot" + std::to_string(slot->index) + ":" + method_key;
+    }
+    obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
+                                                  : profile_tag.c_str());
+    MethodRunScope run_scope(&slot->run, names.method);
+    // Store RPCs and channel waits issued by the method parent under its
+    // run span and bill to the tenant that asked for the turn.
+    obs::TraceContextScope trace_scope(mt.RunContext());
+    obs::PrincipalScope principal_scope(mt.principal);
+    ServerActionContext ctx(internal_client_.get(), &slot->config);
+    const std::uint64_t cpu_start_us = ThreadCpuMicros();
+    auto reply = run(ctx);
+    const std::uint64_t cpu_us = ThreadCpuMicros() - cpu_start_us;
+    slot->monitor.Exit();
+
+    // The invocation record, written here only: both sides of "ledger
+    // action cpu == slot cpu_us" and "ledger queue_us == queue histogram
+    // sum" come from the same fields.
+    slot->stats.invocations->Increment();
+    slot->stats.cpu_us->Add(cpu_us);
+    if (mt.active) {
+      const std::uint64_t run_end_us = obs::TraceNowMicros();
+      const std::uint64_t queue_us = run_start_us - mt.submit_us;
+      obs::SamplingProfiler::Global().AddWaitSample("action.queue", queue_us);
+      obs::RecordSpan("action", names.queue_span, mt.parent,
+                      obs::NewSpanId(), mt.submit_us, run_start_us);
+      obs::RecordSpan("action", names.run_span, mt.parent,
+                      mt.run_span_id, run_start_us, run_end_us);
+      names.queue_us->Record(queue_us);
+      names.run_us->Record(run_end_us - run_start_us);
+      obs::LedgerCell cell;
+      cell.cpu_us = cpu_us;
+      cell.queue_us = queue_us;
+      cell.invocations = 1;
+      obs::ResourceLedger::Global().Charge(mt.principal, names.ledger_op,
+                                           cell);
+      obs::MethodSketch().Offer(method_key);
+    }
+    reply();
+  };
+  const Status submitted = action_pool_->Submit(std::move(turn));
+  if (!submitted.ok()) {
+    slot->stats.queue_depth->Add(-1);
+    total_queue_depth_->Add(-1);
+  }
+  return submitted;
+}
+
 void ActiveServer::DoActionCreate(ActionCreateRequest req,
                                   net::Message request,
                                   net::Responder responder) {
@@ -649,82 +712,35 @@ void ActiveServer::DoActionCreate(ActionCreateRequest req,
 
   // Instantiate under the action's execution turn: onCreate is user code
   // and follows the single-threaded model like any other method.
-  const MethodTrace mt = MethodTrace::Begin("onCreate");
-  const bool acct = obs::Enabled();
-  if (acct) {
-    slot->stats.invocations->Increment();
-    slot->stats.queue_depth->Add(1);
-    total_queue_depth_->Add(1);
-  }
-  const Status submitted = action_pool_->Submit(
-      [this, slot, mt, acct, req = std::move(req),
-       object = std::shared_ptr<Action>(std::move(object).value()),
-       request, responder]() mutable {
-        slot->monitor.Enter();
-        if (acct) {
-          slot->stats.queue_depth->Add(-1);
-          total_queue_depth_->Add(-1);
-        }
-        std::string profile_tag;
-        if (obs::SamplingProfiler::ActiveFast()) {
-          profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                        req.action_type + ".onCreate";
-        }
-        obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                      : profile_tag.c_str());
-        MethodRunScope run_scope(&slot->run, "onCreate");
-        const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-        const std::uint64_t run_start = mt.EnterRun();
-        obs::TraceContextScope trace_scope(mt.RunContext());
-        obs::PrincipalScope principal_scope(mt.principal);
-        if (acct) obs::MethodSketch().Offer(req.action_type + ".onCreate");
+  std::string type = req.action_type;  // copied before the body takes req
+  const Status submitted = Dispatch(
+      slot, Method::kCreate, std::move(type),
+      [slot, req = std::move(req),
+       object = std::shared_ptr<Action>(std::move(object).value()), request,
+       responder](ActionContext& ctx) mutable {
         if (slot->LiveObject() != nullptr) {
-          slot->monitor.Exit();
-          return responder.SendError(
-              request, Status::AlreadyExists("slot already holds an action"));
+          return Answer(std::move(responder), std::move(request),
+                        Status::AlreadyExists("slot already holds an action"));
         }
         slot->interleave = req.interleave;
-        slot->action_type = req.action_type;
+        slot->action_type = std::move(req.action_type);
         slot->config = std::move(req.config);
         {
           std::scoped_lock lock(slot->obj_mu);
-          slot->object = std::move(object);
+          slot->object = object;
         }
-        ServerActionContext ctx(internal_client_.get(), slot->config.span());
+        Status status;
         try {
-          slot->object->onCreate(ctx);
-          slot->monitor.Exit();
-          mt.FinishRun(run_start);
-          if (acct) {
-            const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-            slot->stats.cpu_us->Add(cpu);
-            mt.ChargeCpu(cpu);
-          }
-          responder.SendOk(request);
+          object->onCreate(ctx);
         } catch (const std::exception& e) {
-          {
-            std::scoped_lock lock(slot->obj_mu);
-            slot->object.reset();
-          }
-          slot->monitor.Exit();
-          mt.FinishRun(run_start);
-          if (acct) {
-            const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-            slot->stats.cpu_us->Add(cpu);
-            mt.ChargeCpu(cpu);
-          }
-          responder.SendError(request,
-                              Status::Internal(std::string("onCreate: ") +
-                                               e.what()));
+          std::scoped_lock lock(slot->obj_mu);
+          slot->object.reset();
+          status = Status::Internal(std::string("onCreate: ") + e.what());
         }
+        return Answer(std::move(responder), std::move(request),
+                      std::move(status));
       });
-  if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    responder.SendError(request, submitted);
-  }
+  if (!submitted.ok()) responder.SendError(request, submitted);
 }
 
 void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
@@ -734,41 +750,14 @@ void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
     return responder.SendError(request, slot_result.status());
   }
   auto slot = std::move(slot_result).value();
-  const MethodTrace mt = MethodTrace::Begin("onDelete");
-  const bool acct = obs::Enabled();
-  if (acct) {
-    slot->stats.invocations->Increment();
-    slot->stats.queue_depth->Add(1);
-    total_queue_depth_->Add(1);
-  }
-  const Status submitted =
-      action_pool_->Submit([this, slot, mt, acct, request,
-                            responder]() mutable {
-        slot->monitor.Enter();
-        if (acct) {
-          slot->stats.queue_depth->Add(-1);
-          total_queue_depth_->Add(-1);
-        }
-        std::string profile_tag;
-        if (obs::SamplingProfiler::ActiveFast()) {
-          profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                        slot->action_type + ".onDelete";
-        }
-        obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                      : profile_tag.c_str());
-        MethodRunScope run_scope(&slot->run, "onDelete");
-        const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-        const std::uint64_t run_start = mt.EnterRun();
-        obs::TraceContextScope trace_scope(mt.RunContext());
-        obs::PrincipalScope principal_scope(mt.principal);
-        if (acct) obs::MethodSketch().Offer(slot->action_type + ".onDelete");
+  const Status submitted = Dispatch(
+      slot, Method::kDelete, {},
+      [slot, request, responder](ActionContext& ctx) mutable {
         std::shared_ptr<Action> object = slot->LiveObject();
         if (object == nullptr) {
-          slot->monitor.Exit();
-          return responder.SendError(request,
-                                     Status::NotFound("slot already empty"));
+          return Answer(std::move(responder), std::move(request),
+                        Status::NotFound("slot already empty"));
         }
-        ServerActionContext ctx(internal_client_.get(), slot->config.span());
         try {
           object->onDelete(ctx);
         } catch (const std::exception& e) {
@@ -778,22 +767,9 @@ void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
           std::scoped_lock lock(slot->obj_mu);
           slot->object.reset();
         }
-        slot->monitor.Exit();
-        mt.FinishRun(run_start);
-        if (acct) {
-          const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-          slot->stats.cpu_us->Add(cpu);
-          mt.ChargeCpu(cpu);
-        }
-        responder.SendOk(request);
+        return Answer(std::move(responder), std::move(request), Status::Ok());
       });
-  if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    responder.SendError(request, submitted);
-  }
+  if (!submitted.ok()) responder.SendError(request, submitted);
 }
 
 void ActiveServer::DoActionStat(SlotRequest req, net::Message request,
@@ -803,15 +779,15 @@ void ActiveServer::DoActionStat(SlotRequest req, net::Message request,
     return responder.SendError(request, slot_result.status());
   }
   auto slot = std::move(slot_result).value();
-  const Status submitted =
-      action_pool_->Submit([slot, request, responder]() mutable {
-        slot->monitor.Enter();
+  const Status submitted = Dispatch(
+      slot, Method::kStat, {},
+      [slot, request, responder](ActionContext&) mutable {
         ActionStatResponse resp;
         if (auto object = slot->LiveObject()) {
           resp.state_bytes = object->StateBytes();
         }
-        slot->monitor.Exit();
-        responder.SendOk(request, resp.Encode());
+        return Answer(std::move(responder), std::move(request), Status::Ok(),
+                      resp.Encode());
       });
   if (!submitted.ok()) responder.SendError(request, submitted);
 }
@@ -828,118 +804,68 @@ void ActiveServer::DoStreamOpen(StreamOpenRequest req, net::Message request,
   auto stream = std::make_shared<Stream>(id, req.slot, req.mode,
                                          options_.channel_capacity);
   streams_.Insert(id, stream);
-  RunMethod(std::move(slot), stream);
+  Status submitted;
+  if (req.mode == StreamMode::kWrite) {
+    submitted = Dispatch(
+        slot, Method::kWrite, {}, [slot, stream](ActionContext& ctx) {
+          ChannelInputStream in(&stream->channel,
+                                slot->interleave ? &slot->monitor : nullptr,
+                                &slot->run);
+          if (auto object = slot->LiveObject()) {
+            try {
+              object->onWrite(in, ctx);
+            } catch (const std::exception& e) {
+              GLIDER_LOG(kWarn, "active") << "onWrite threw: " << e.what();
+            }
+          }
+          // The method may return before consuming the whole stream; drain
+          // so pipelined client writes still get acknowledged, then
+          // complete the client's close. Must go through `in`, not the
+          // channel directly: the input stream may hold batch-drained tasks
+          // (eos included) in its local stash.
+          return [stream, in = std::move(in)]() mutable {
+            in.DrainUntilEos();
+            net::Responder close_responder;
+            net::Message close_request;
+            {
+              std::scoped_lock lock(stream->close_mu);
+              stream->method_done = true;
+              close_responder = std::move(stream->close_responder);
+              close_request = stream->close_request;
+            }
+            if (close_responder.valid()) {
+              close_responder.SendOk(close_request);
+            }
+          };
+        });
+  } else {
+    submitted = Dispatch(
+        slot, Method::kRead, {}, [slot, stream](ActionContext& ctx) {
+          ChannelOutputStream out(&stream->channel,
+                                  slot->interleave ? &slot->monitor : nullptr,
+                                  &slot->run);
+          if (auto object = slot->LiveObject()) {
+            try {
+              object->onRead(out, ctx);
+            } catch (const std::exception& e) {
+              GLIDER_LOG(kWarn, "active") << "onRead threw: " << e.what();
+            }
+          }
+          return [stream, out = std::move(out)]() mutable {
+            out.Close();  // idempotent: signals end-of-stream to the reader
+            std::scoped_lock lock(stream->close_mu);
+            stream->method_done = true;
+          };
+        });
+  }
+  if (!submitted.ok()) {
+    GLIDER_LOG(kWarn, "active") << "action pool rejected method";
+    stream->channel.Abort();
+  }
 
   StreamOpenResponse resp;
   resp.stream_id = id;
   responder.SendOk(request, resp.Encode());
-}
-
-void ActiveServer::RunMethod(std::shared_ptr<Slot> slot,
-                             std::shared_ptr<Stream> stream) {
-  const MethodTrace mt = MethodTrace::Begin(
-      stream->mode == StreamMode::kWrite ? "onWrite" : "onRead");
-  // `acct` is captured so the increment/decrement pair stays balanced even
-  // if observability is toggled while the method is queued.
-  const bool acct = obs::Enabled();
-  if (acct) {
-    slot->stats.invocations->Increment();
-    slot->stats.queue_depth->Add(1);
-    total_queue_depth_->Add(1);
-  }
-  const Status submitted = action_pool_->Submit([this, slot, stream, mt,
-                                                 acct] {
-    const char* method_name =
-        stream->mode == StreamMode::kWrite ? "onWrite" : "onRead";
-    ActionMonitor* monitor = &slot->monitor;
-    ActionMonitor* yield = slot->interleave ? monitor : nullptr;
-    monitor->Enter();
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    // Attribution tag for the profiler: every CPU sample taken on this
-    // thread while the method runs lands under the slot it is serving.
-    // Built only when the profiler is on (string concat on the hot path).
-    std::string profile_tag;
-    if (obs::SamplingProfiler::ActiveFast()) {
-      profile_tag = "slot" + std::to_string(slot->index) + ":" +
-                    slot->action_type + "." + method_name;
-    }
-    obs::ProfileTagScope ptag(profile_tag.empty() ? nullptr
-                                                  : profile_tag.c_str());
-    MethodRunScope run_scope(&slot->run, method_name);
-    const std::uint64_t cpu_start = acct ? ThreadCpuMicros() : 0;
-    const std::uint64_t run_start = mt.EnterRun();
-    // Methods issue store RPCs and block on channels; parent all of that
-    // under the method's run span (RunContext pre-allocates its id).
-    obs::TraceContextScope trace_scope(mt.RunContext());
-    // Same hop for the principal: store RPCs and channel traffic issued by
-    // the method bill to the tenant that opened the stream.
-    obs::PrincipalScope principal_scope(mt.principal);
-    if (acct) {
-      obs::MethodSketch().Offer(slot->action_type + "." + method_name);
-    }
-    ServerActionContext ctx(internal_client_.get(), slot->config.span());
-    std::shared_ptr<Action> object = slot->LiveObject();
-    if (stream->mode == StreamMode::kWrite) {
-      ChannelInputStream in(&stream->channel, yield, &slot->run);
-      try {
-        if (object != nullptr) object->onWrite(in, ctx);
-      } catch (const std::exception& e) {
-        GLIDER_LOG(kWarn, "active") << "onWrite threw: " << e.what();
-      }
-      monitor->Exit();
-      mt.FinishRun(run_start);
-      if (acct) {
-        const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-        slot->stats.cpu_us->Add(cpu);
-        mt.ChargeCpu(cpu);
-      }
-      // The method may return before consuming the whole stream; drain so
-      // pipelined client writes still get acknowledged, then complete the
-      // client's close. Must go through `in`, not the channel directly: the
-      // input stream may hold batch-drained tasks (eos included) in its
-      // local stash.
-      in.DrainUntilEos();
-      net::Responder close_responder;
-      net::Message close_request;
-      {
-        std::scoped_lock lock(stream->close_mu);
-        stream->method_done = true;
-        close_responder = std::move(stream->close_responder);
-        close_request = stream->close_request;
-      }
-      if (close_responder.valid()) {
-        close_responder.SendOk(close_request);
-      }
-    } else {
-      ChannelOutputStream out(&stream->channel, yield, &slot->run);
-      try {
-        if (object != nullptr) object->onRead(out, ctx);
-      } catch (const std::exception& e) {
-        GLIDER_LOG(kWarn, "active") << "onRead threw: " << e.what();
-      }
-      monitor->Exit();
-      mt.FinishRun(run_start);
-      if (acct) {
-        const std::uint64_t cpu = ThreadCpuMicros() - cpu_start;
-        slot->stats.cpu_us->Add(cpu);
-        mt.ChargeCpu(cpu);
-      }
-      out.Close();  // idempotent: signals end-of-stream to the reader
-      std::scoped_lock lock(stream->close_mu);
-      stream->method_done = true;
-    }
-  });
-  if (!submitted.ok()) {
-    if (acct) {
-      slot->stats.queue_depth->Add(-1);
-      total_queue_depth_->Add(-1);
-    }
-    GLIDER_LOG(kWarn, "active") << "action pool rejected method";
-    stream->channel.Abort();
-  }
 }
 
 void ActiveServer::DoStreamWrite(StreamWriteRequest req, net::Message request,
@@ -952,9 +878,7 @@ void ActiveServer::DoStreamWrite(StreamWriteRequest req, net::Message request,
     return responder.SendError(request,
                                Status::InvalidArgument("not a write stream"));
   }
-  if (obs::Enabled()) {
-    slots_[(*stream)->slot]->stats.bytes_in->Add(req.data.size());
-  }
+  slots_[(*stream)->slot]->stats.bytes_in->Add(req.data.size());
   DataTask task;
   task.data = std::move(req.data);
   (*stream)->channel.AsyncPush(
@@ -980,11 +904,9 @@ void ActiveServer::DoStreamWriteBatch(StreamWriteBatchRequest req,
     return responder.SendError(request,
                                Status::InvalidArgument("not a write stream"));
   }
-  if (obs::Enabled()) {
-    std::uint64_t total = 0;
-    for (const auto& c : req.chunks) total += c.size();
-    slots_[(*stream)->slot]->stats.bytes_in->Add(total);
-  }
+  std::uint64_t total = 0;
+  for (const auto& c : req.chunks) total += c.size();
+  slots_[(*stream)->slot]->stats.bytes_in->Add(total);
   std::vector<DataTask> tasks;
   tasks.reserve(req.chunks.size());
   for (auto& chunk : req.chunks) {
@@ -1011,12 +933,11 @@ void ActiveServer::DoStreamRead(StreamReadRequest req, net::Message request,
     return responder.SendError(request,
                                Status::InvalidArgument("not a read stream"));
   }
-  obs::Counter* bytes_out =
-      obs::Enabled() ? slots_[(*stream)->slot]->stats.bytes_out : nullptr;
+  obs::Counter* bytes_out = slots_[(*stream)->slot]->stats.bytes_out;
   (*stream)->channel.AsyncPop(
       req.seq, [request, responder, bytes_out](Result<DataTask> task) mutable {
         if (task.ok()) {
-          if (bytes_out != nullptr) bytes_out->Add(task->data.size());
+          bytes_out->Add(task->data.size());
           responder.SendOk(request, std::move(task->data));
         } else {
           // kClosed = end of stream; the client reader treats it as EOF.

@@ -12,6 +12,14 @@
 //     consume the channels by running action methods, one method at a time
 //     per action (ActionMonitor), with optional interleaving.
 //
+// Every method turn — create, delete, stat, write and read — goes through
+// one dispatch path (Dispatch): queue on the slot, take the slot's turn,
+// run the method, release the turn, then emit one per-invocation record
+// before the reply. Dispatch is the only writer of the per-turn slot
+// counters (invocations, queue depth, CPU; always on) and, with
+// observability on, of the action spans, histograms, ledger charges,
+// method sketch and profiler wait samples.
+//
 // Locking is per-object so concurrent streams to different actions never
 // contend: the slot vector is preallocated and immutable, each slot guards
 // its live-object pointer with its own mutex (method execution order is the
@@ -49,13 +57,6 @@ class ActiveServer : public net::ServiceRouter,
     // management knob (paper: "the size of an active server and the number
     // of slots it registers determine the capacity ... of its actions").
     std::uint64_t slot_bytes = 64ull << 20;
-    // Hint for the nominal action-thread capacity registered with resource
-    // management. Execution itself is one dedicated thread per running
-    // method: methods are long-lived and may open streams to *other*
-    // actions (e.g. the genomics sampler feeding the manager), which a
-    // fixed pool can deadlock on when every pool thread blocks waiting for
-    // a method that cannot be scheduled.
-    std::size_t num_action_threads = 4;
     std::size_t channel_capacity = 8;  // in-flight ops buffered per stream
     std::string preferred_address;
     // Link class for the server's internal store client (actions reaching
@@ -101,6 +102,10 @@ class ActiveServer : public net::ServiceRouter,
   struct Slot;
   struct Stream;
 
+  // The method turns, in the order of the per-method name table.
+  enum class Method : std::uint8_t { kCreate, kDelete, kStat, kWrite, kRead };
+  struct MethodObs;
+
   void DoActionCreate(ActionCreateRequest req, net::Message request,
                       net::Responder responder);
   void DoActionDelete(SlotRequest req, net::Message request,
@@ -121,8 +126,15 @@ class ActiveServer : public net::ServiceRouter,
   Result<std::shared_ptr<Slot>> GetSlot(std::uint32_t index,
                                         bool must_have_object);
 
-  // Runs one stream's action method on the action pool.
-  void RunMethod(std::shared_ptr<Slot> slot, std::shared_ptr<Stream> stream);
+  // Queues one method turn on `slot` and runs it on an action thread:
+  // `run` executes under the slot's turn and returns the reply step, which
+  // runs after the turn is released and its invocation record emitted.
+  // `type` names the action in the profile tag and method sketch; empty
+  // means the slot's current type, read under the turn. Fails only when
+  // the action pool refuses the turn (shutdown); the caller answers then.
+  template <typename Run>
+  Status Dispatch(const std::shared_ptr<Slot>& slot, Method method,
+                  std::string type, Run run);
 
   // Slot-stall watchdog body: scans slots every watchdog_interval and flags
   // methods that exceeded the CPU budget without yielding.
@@ -134,7 +146,10 @@ class ActiveServer : public net::ServiceRouter,
 
   // Spawns one tracked thread per action-method execution. Threads report
   // completion so later Submits reap (join) them incrementally instead of
-  // accumulating one joinable thread per method until shutdown.
+  // accumulating one joinable thread per method until shutdown. Not a fixed
+  // pool: methods are long-lived and may open streams to *other* actions
+  // (e.g. the genomics sampler feeding the manager), which a fixed pool can
+  // deadlock on when every thread blocks on a method it cannot schedule.
   class MethodRunner {
    public:
     ~MethodRunner() { Shutdown(); }
@@ -186,9 +201,12 @@ class ActiveServer : public net::ServiceRouter,
   StreamTable streams_;
   std::atomic<std::uint64_t> next_stream_id_{1};
 
+  // Span, ledger and histogram names per Method, resolved at construction.
+  std::vector<MethodObs> method_obs_;
+
   // Server-wide action queue depth ("active.queue_depth"): methods
   // submitted to the action pool but not yet admitted by their slot's
-  // monitor. Updated alongside the per-slot gauges.
+  // monitor. Updated alongside the per-slot gauges, on every turn.
   obs::Gauge* total_queue_depth_ = nullptr;
 
   // Stall watchdog state; the thread runs between Start() and Stop().

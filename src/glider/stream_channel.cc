@@ -252,13 +252,20 @@ void StreamChannel::AsyncPop(std::uint64_t seq, ConsumeFn consumer) {
   bool wake = false;
   {
     std::scoped_lock lock(mu_);
-    consumers_.emplace(seq, std::move(consumer));
-    while (true) {
-      auto deliveries = MatchLocked();
-      auto admits = PromoteLocked();
-      if (admits.empty() && deliveries.empty()) break;
-      fire.Add(std::move(admits));
-      for (auto& d : deliveries) fire.deliveries.push_back(std::move(d));
+    if (aborted_) {
+      // Abort() does not advance next_pop_seq_, so a pop arriving after it
+      // would never be matched: answer now instead of parking forever.
+      fire.deliveries.emplace_back(std::move(consumer),
+                                   Status::Closed("stream aborted"));
+    } else {
+      consumers_.emplace(seq, std::move(consumer));
+      while (true) {
+        auto deliveries = MatchLocked();
+        auto admits = PromoteLocked();
+        if (admits.empty() && deliveries.empty()) break;
+        fire.Add(std::move(admits));
+        for (auto& d : deliveries) fire.deliveries.push_back(std::move(d));
+      }
     }
     PublishHintLocked();
     wake = waiters_ > 0;

@@ -114,7 +114,8 @@ class StreamChannel {
                     AdmitFn on_admitted);
 
   // Requests the item for read operation `seq`. The consumer fires with the
-  // task, or with kClosed at end-of-stream / teardown.
+  // task, or with kClosed at end-of-stream / teardown (at once if the
+  // channel was already aborted).
   void AsyncPop(std::uint64_t seq, ConsumeFn consumer);
 
   // --- action-thread side (may block) ---

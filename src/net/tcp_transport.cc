@@ -10,7 +10,6 @@
 #include "common/buffer_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <future>
@@ -152,32 +151,29 @@ Status SendIovecs(int fd, std::vector<iovec>& iov) {
 // zero-copy as their own iovec segments) under the lock, then the whole
 // backlog leaves in one sendmsg.
 //
-// Two flush disciplines (TcpOptions::flush_us):
-//   * opportunistic (0): the enqueuing thread flushes immediately unless
-//     another thread's flush is already on the wire, in which case the
-//     active flusher picks the new frames up on its next swap. Uncontended
-//     sends keep the old one-syscall latency; batches form exactly when
-//     the link is busy.
-//   * deadline (>0): frames wait up to flush_us for peers to coalesce; a
-//     dedicated flusher thread emits on deadline or when the byte/frame
-//     budget fills, whichever is first.
-// Cork()/Uncork() suppress the opportunistic flush so a caller issuing a
-// known burst shares one flush; budget overflow still flushes mid-cork.
+// Flushing is opportunistic: the enqueuing thread flushes immediately
+// unless another thread's flush is already on the wire, in which case the
+// active flusher picks the new frames up on its next swap. Uncontended
+// sends keep the one-syscall latency; batches form exactly when the link
+// is busy. Cork()/Uncork() suppress the flush so a caller issuing a known
+// burst shares one flush; budget overflow still flushes mid-cork.
 //
 // A send error latches into `status_`: subsequent sends fail fast, and the
 // connection's reader notices the dead socket and fails the pending calls,
 // covering frames accepted before the error surfaced.
 class SendCoalescer {
  public:
-  // Consecutive deadline-expiry flushes before a kFlushStorm event fires.
-  static constexpr std::uint64_t kFlushStormStreak = 64;
+  // Flush as soon as this many bytes or frames are staged. The byte bound
+  // doubles as backpressure: senders block once the staging area holds
+  // this much while a flush is in flight.
+  static constexpr std::size_t kCoalesceBytes = 256 * 1024;
+  static constexpr std::size_t kCoalesceFrames = 64;
+  // Payloads up to this size are copied into the staging buffer so the
+  // whole batch is one contiguous iovec; larger payloads are referenced
+  // zero-copy as their own sendmsg iovec.
+  static constexpr std::size_t kInlineCopyBytes = 16 * 1024;
 
-  SendCoalescer(int fd, const TcpOptions& options)
-      : fd_(fd), options_(options) {
-    if (options_.flush_us > 0) {
-      flusher_ = std::thread([this] { FlusherLoop(); });
-    }
-  }
+  explicit SendCoalescer(int fd) : fd_(fd) {}
 
   ~SendCoalescer() {
     {
@@ -188,7 +184,6 @@ class SendCoalescer {
       closed_ = true;
     }
     cv_.notify_all();
-    if (flusher_.joinable()) flusher_.join();
   }
 
   SendCoalescer(const SendCoalescer&) = delete;
@@ -200,22 +195,13 @@ class SendCoalescer {
     // wait for the swap instead of staging without bound.
     cv_.wait(lock, [&] {
       return closed_ || !status_.ok() || !flushing_ ||
-             staged_bytes_ < options_.coalesce_bytes;
+             staged_bytes_ < kCoalesceBytes;
     });
     if (closed_) return Status::Closed("connection closed");
     if (!status_.ok()) return status_;
     StageLocked(message);
-    const bool over_budget = staged_bytes_ >= options_.coalesce_bytes ||
-                             frames_ >= options_.coalesce_frames;
-    if (options_.flush_us > 0) {
-      // Deadline mode: wake the flusher on the first frame (arms its
-      // deadline) and when the budget fills (flush now).
-      if (frames_ == 1 || over_budget) {
-        lock.unlock();
-        cv_.notify_all();
-      }
-      return Status::Ok();
-    }
+    const bool over_budget =
+        staged_bytes_ >= kCoalesceBytes || frames_ >= kCoalesceFrames;
     if (cork_depth_ > 0 && !over_budget) return Status::Ok();
     return FlushBacklogLocked(lock);
   }
@@ -229,11 +215,6 @@ class SendCoalescer {
     std::unique_lock lock(mu_);
     if (cork_depth_ == 0 || --cork_depth_ > 0) return;
     if (frames_ == 0) return;
-    if (options_.flush_us > 0) {
-      lock.unlock();
-      cv_.notify_all();
-      return;
-    }
     if (status_.ok()) FlushBacklogLocked(lock);
   }
 
@@ -253,7 +234,7 @@ class SendCoalescer {
     message.EncodeHeader(header);
     AppendStageLocked(header, sizeof(header));
     const ByteSpan payload = message.payload.span();
-    if (payload.size() <= options_.inline_copy_bytes) {
+    if (payload.size() <= kInlineCopyBytes) {
       AppendStageLocked(payload.data(), payload.size());
     } else {
       Segment seg;
@@ -314,52 +295,7 @@ class SendCoalescer {
     return status_;
   }
 
-  void FlusherLoop() {
-    // Deadline-expiry flushes in a row without one budget-filled flush in
-    // between: a long run means flush_us is adding latency to every frame
-    // while never earning a full batch — the tuning signal the journal's
-    // kFlushStorm event surfaces.
-    std::uint64_t deadline_streak = 0;
-    std::unique_lock lock(mu_);
-    while (!closed_) {
-      cv_.wait(lock, [&] { return closed_ || frames_ > 0; });
-      if (closed_) return;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(options_.flush_us);
-      cv_.wait_until(lock, deadline, [&] {
-        return closed_ || staged_bytes_ >= options_.coalesce_bytes ||
-               frames_ >= options_.coalesce_frames;
-      });
-      if (closed_) return;
-      const bool budget_filled = staged_bytes_ >= options_.coalesce_bytes ||
-                                 frames_ >= options_.coalesce_frames;
-      if (budget_filled) {
-        deadline_streak = 0;
-      } else {
-        static obs::Counter* deadline_flushes =
-            &obs::MetricsRegistry::Global().GetCounter("net.deadline_flushes");
-        deadline_flushes->Increment();
-        // One event per storm episode, as the streak crosses the threshold.
-        if (++deadline_streak == kFlushStormStreak) {
-          obs::JournalEvent(
-              obs::EventType::kFlushStorm, "tcp",
-              "deadline flushes without a filled batch (flush_us=" +
-                  std::to_string(options_.flush_us) + ")",
-              static_cast<std::int64_t>(kFlushStormStreak));
-        }
-      }
-      if (status_.ok()) FlushBacklogLocked(lock);
-      if (!status_.ok()) {
-        // Dead socket: nothing further will flush; park until teardown so
-        // the loop does not spin on the armed frames_ > 0 predicate.
-        cv_.wait(lock, [&] { return closed_; });
-        return;
-      }
-    }
-  }
-
   const int fd_;
-  const TcpOptions options_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::uint8_t> stage_;
@@ -370,7 +306,6 @@ class SendCoalescer {
   bool flushing_ = false;
   bool closed_ = false;
   Status status_ = Status::Ok();
-  std::thread flusher_;  // deadline mode only
 };
 
 // --- Buffered receive -------------------------------------------------------
@@ -532,10 +467,9 @@ void SetNoDelay(int fd) {
 class TcpListener : public Listener {
  public:
   TcpListener(Fd listen_fd, std::string address,
-              std::shared_ptr<Service> service, std::size_t num_workers,
-              TcpOptions options)
+              std::shared_ptr<Service> service, std::size_t num_workers)
       : listen_fd_(std::move(listen_fd)), address_(std::move(address)),
-        service_(std::move(service)), options_(options), pool_(num_workers) {
+        service_(std::move(service)), pool_(num_workers) {
     accept_thread_ = std::thread([this] { AcceptLoop(); });
   }
 
@@ -558,8 +492,7 @@ class TcpListener : public Listener {
 
  private:
   struct ServerConn {
-    ServerConn(int fd_value, const TcpOptions& options)
-        : fd(fd_value), writer(fd.get(), options) {}
+    explicit ServerConn(int fd_value) : fd(fd_value), writer(fd.get()) {}
     Fd fd;
     SendCoalescer writer;
   };
@@ -573,7 +506,7 @@ class TcpListener : public Listener {
         return;
       }
       SetNoDelay(cfd);
-      auto conn = std::make_shared<ServerConn>(cfd, options_);
+      auto conn = std::make_shared<ServerConn>(cfd);
       {
         std::scoped_lock lock(conns_mu_);
         conns_.push_back(conn);
@@ -639,7 +572,6 @@ class TcpListener : public Listener {
   Fd listen_fd_;
   std::string address_;
   std::shared_ptr<Service> service_;
-  const TcpOptions options_;
   ThreadPool pool_;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
@@ -652,9 +584,8 @@ class TcpListener : public Listener {
 
 class TcpConnection : public Connection {
  public:
-  TcpConnection(Fd fd, std::shared_ptr<LinkModel> link, TcpOptions options)
-      : fd_(std::move(fd)), link_(std::move(link)),
-        writer_(fd_.get(), options) {}
+  TcpConnection(Fd fd, std::shared_ptr<LinkModel> link)
+      : fd_(std::move(fd)), link_(std::move(link)), writer_(fd_.get()) {}
 
   // The reader captures `this`, not a shared_ptr: owning itself would make
   // the final release happen on the reader thread, which then joins itself.
@@ -777,8 +708,8 @@ class TcpConnection : public Connection {
 
 }  // namespace
 
-TcpTransport::TcpTransport(std::size_t num_workers, TcpOptions options)
-    : num_workers_(num_workers), options_(options) {}
+TcpTransport::TcpTransport(std::size_t num_workers)
+    : num_workers_(num_workers) {}
 
 TcpTransport::~TcpTransport() = default;
 
@@ -817,7 +748,7 @@ Result<std::unique_ptr<Listener>> TcpTransport::Listen(
       host + ":" + std::to_string(ntohs(bound.sin_port));
 
   return std::unique_ptr<Listener>(new TcpListener(
-      std::move(fd), address, std::move(service), num_workers_, options_));
+      std::move(fd), address, std::move(service), num_workers_));
 }
 
 Result<std::shared_ptr<Connection>> TcpTransport::Connect(
@@ -842,8 +773,7 @@ Result<std::shared_ptr<Connection>> TcpTransport::Connect(
   // can precede it on the wire; the server's preamble is validated by the
   // reader thread.
   GLIDER_RETURN_IF_ERROR(SendPreamble(fd.get()));
-  auto conn = std::make_shared<TcpConnection>(std::move(fd), std::move(link),
-                                              options_);
+  auto conn = std::make_shared<TcpConnection>(std::move(fd), std::move(link));
   conn->StartReader();
   return std::shared_ptr<Connection>(conn);
 }

@@ -27,32 +27,10 @@
 
 namespace glider::net {
 
-// Knobs for the per-connection send coalescer (both directions use the
-// same settings).
-struct TcpOptions {
-  // Microseconds a staged frame may wait for peers to coalesce before a
-  // dedicated flusher thread emits it. 0 (the default) selects
-  // opportunistic mode: the enqueuing thread flushes immediately unless
-  // another thread's flush is already on the wire, so an uncontended send
-  // pays no added latency and batches form exactly when the link is busy.
-  // Nonzero values trade that latency for denser batches (and cost one
-  // flusher thread per connection).
-  std::uint32_t flush_us = 0;
-  // Flush as soon as this many bytes or frames are staged. The byte bound
-  // doubles as backpressure: senders block once the staging area holds
-  // this much while a flush is in flight.
-  std::size_t coalesce_bytes = 256 * 1024;
-  std::size_t coalesce_frames = 64;
-  // Payloads up to this size are copied into the staging buffer so the
-  // whole batch is one contiguous iovec; larger payloads are referenced
-  // zero-copy as their own sendmsg iovec.
-  std::size_t inline_copy_bytes = 16 * 1024;
-};
-
 class TcpTransport : public Transport {
  public:
   // num_workers: handler threads per listener.
-  explicit TcpTransport(std::size_t num_workers = 8, TcpOptions options = {});
+  explicit TcpTransport(std::size_t num_workers = 8);
   ~TcpTransport() override;
 
   // preferred_address: "host:port"; empty or port 0 picks a free port on
@@ -65,7 +43,6 @@ class TcpTransport : public Transport {
 
  private:
   const std::size_t num_workers_;
-  const TcpOptions options_;
 };
 
 }  // namespace glider::net

@@ -34,7 +34,6 @@ struct ClusterOptions {
 
   std::size_t active_servers = 1;
   std::uint32_t slots_per_server = 16;
-  std::size_t action_threads = 4;
   std::size_t channel_capacity = 8;
 
   // Slot-stall watchdog knobs, forwarded to ActiveServer::Options (see

@@ -530,6 +530,8 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
       if (chunk->empty()) break;
     }
     ASSERT_TRUE((*reader)->Close().ok());
+    auto state = node->StateBytes();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
   };
   run_tenant("alpha", "/attr-alpha");
   run_tenant("beta", "/attr-beta");
@@ -564,10 +566,15 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
   // delta), and its queue time equals the queue histograms' sums.
   const auto metrics = MetricsRegistry::Global().Snapshot();
   std::uint64_t slot_cpu_us = 0, slot_bytes_in = 0, slot_bytes_out = 0;
+  std::uint64_t slot_invocations = 0;
   for (const auto& [name, value] : metrics.counters) {
     if (name.rfind("active.slot", 0) != 0) continue;
     if (name.size() >= 7 && name.compare(name.size() - 7, 7, ".cpu_us") == 0) {
       slot_cpu_us += value;
+    }
+    if (name.size() >= 12 &&
+        name.compare(name.size() - 12, 12, ".invocations") == 0) {
+      slot_invocations += value;
     }
     if (name.size() >= 9 &&
         name.compare(name.size() - 9, 9, ".bytes_in") == 0) {
@@ -579,6 +586,9 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
     }
   }
   EXPECT_EQ(action_total.cpu_us, slot_cpu_us);
+  // Every turn — create, write, read and stat — is one invocation on both
+  // sides.
+  EXPECT_EQ(action_total.invocations, slot_invocations);
   std::uint64_t queue_hist_sum = 0;
   for (const auto& [name, hist] : metrics.histograms) {
     if (name.rfind("action.", 0) == 0 &&

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "glider/client/action_node.h"
+#include "net/rpc_client.h"
 #include "testing/cluster.h"
 
 namespace glider {
@@ -20,6 +21,9 @@ class ThrowingAction : public Action {
   void onCreate(ActionContext&) override {
     if (throw_on_create) throw std::runtime_error("create boom");
   }
+  void onDelete(ActionContext&) override {
+    if (throw_on_delete) throw std::runtime_error("delete boom");
+  }
   void onWrite(ActionInputStream& in, ActionContext&) override {
     (void)in.ReadChunk();
     throw std::runtime_error("write boom");
@@ -29,13 +33,17 @@ class ThrowingAction : public Action {
     throw std::runtime_error("read boom");
   }
   static inline bool throw_on_create = false;
+  static inline bool throw_on_delete = false;
 };
 GLIDER_REGISTER_ACTION("fail.throwing", ThrowingAction);
 
-// Returns from onWrite immediately, never consuming the stream.
+// Returns from onWrite immediately, never consuming the stream. Reports a
+// fixed state size, so a test can tell which action a slot holds.
 class IgnoringAction : public Action {
  public:
+  static constexpr std::uint64_t kStateBytes = 7;
   void onWrite(ActionInputStream&, ActionContext&) override {}
+  std::uint64_t StateBytes() const override { return kStateBytes; }
 };
 GLIDER_REGISTER_ACTION("fail.ignoring", IgnoringAction);
 
@@ -82,6 +90,35 @@ TEST_F(FailureTest, ThrowingOnWriteStillCompletesClose) {
   ASSERT_TRUE(writer2.ok());
   ASSERT_TRUE((*writer2)->Write("again\n").ok());
   EXPECT_TRUE((*writer2)->Close().ok());
+}
+
+TEST_F(FailureTest, ThrowingOnDeleteStillEmptiesSlot) {
+  ASSERT_TRUE(ActionNode::Create(*client_, "/t", "fail.throwing").ok());
+  ASSERT_EQ(cluster_->active().LiveActions(), 1u);
+  ThrowingAction::throw_on_delete = true;
+  const Status deleted = ActionNode::Delete(*client_, "/t");
+  ThrowingAction::throw_on_delete = false;
+  EXPECT_TRUE(deleted.ok()) << deleted.ToString();
+  EXPECT_EQ(cluster_->active().LiveActions(), 0u);
+}
+
+// A create that reaches an occupied slot (bypassing the metadata server's
+// slot allocation) is refused, and the occupant keeps serving.
+TEST_F(FailureTest, CreateOnOccupiedSlotIsRejected) {
+  auto node = ActionNode::Create(*client_, "/o", "fail.ignoring");
+  ASSERT_TRUE(node.ok());
+  auto conn = cluster_->transport().Connect(cluster_->active().address(),
+                                            nullptr);
+  ASSERT_TRUE(conn.ok());
+  core::ActionCreateRequest req;
+  req.slot = node->info().slot.block;
+  req.action_type = "fail.throwing";
+  EXPECT_EQ(net::CallVoid(**conn, core::kActionCreate, req).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(cluster_->active().LiveActions(), 1u);
+  auto state = node->StateBytes();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(*state, IgnoringAction::kStateBytes);
 }
 
 TEST_F(FailureTest, ThrowingOnReadEndsStream) {

@@ -22,6 +22,7 @@
 #include "common/metrics_registry.h"
 #include "common/prometheus.h"
 #include "common/trace.h"
+#include "glider/client/action_node.h"
 #include "glider/cluster_monitor.h"
 #include "net/rpc_client.h"
 #include "net/rpc_obs.h"
@@ -75,7 +76,7 @@ TEST(EventJournalTest, RingBoundsRetainedEventsAndCountsOverwrites) {
   journal.Clear();
   const std::size_t total = EventJournal::kRingCapacity + 50;
   for (std::size_t i = 0; i < total; ++i) {
-    journal.Record(EventType::kFlushStorm, "tcp", "",
+    journal.Record(EventType::kPoolExhausted, "pool", "",
                    static_cast<std::int64_t>(i));
   }
   const auto events = journal.Snapshot();
@@ -349,6 +350,61 @@ testing::ClusterOptions SmallCluster() {
   return options;
 }
 
+// Slot accounting is always on: with observability off, a writer queued
+// behind a running non-interleaved method shows in active.queue_depth and
+// in the load index, and the slot's CPU still accrues.
+TEST(LoadTrackerTest, SeesActionQueueingWithObservabilityOff) {
+  workloads::RegisterWorkloadActions();
+  obs::SetEnabled(false);
+  auto cluster_or = testing::MiniCluster::Start(SmallCluster());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto client = (*cluster_or)->NewInternalClient();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto node = core::ActionNode::Create(**client, "/queued", "glider.merge");
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Gauge& depth = registry.GetGauge("active.queue_depth");
+  obs::Counter& slot_cpu = registry.GetCounter(
+      "active.slot" + std::to_string(node->info().slot.block) + ".cpu_us");
+  const std::int64_t depth_before = depth.value();
+  const std::uint64_t cpu_before = slot_cpu.value();
+  std::string batch;
+  for (int i = 0; i < 2000; ++i) {
+    batch += std::to_string(i % 97) + "," + std::to_string(i) + "\n";
+  }
+
+  // The first writer's onWrite takes the slot's turn and, not interleaved,
+  // keeps it until its stream closes.
+  auto first = node->OpenWriter();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE((*first)->Write(batch).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (depth.value() != depth_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(depth.value(), depth_before) << "first writer never ran";
+
+  // The second writer's method is submitted before its open returns, and
+  // queues on the slot.
+  auto second = node->OpenWriter();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(depth.value(), depth_before + 1);
+  obs::LoadTracker::Options opts;
+  opts.min_window_us = 0;
+  opts.journal_hotspots = false;
+  obs::LoadTracker tracker(opts);
+  EXPECT_GE(tracker.Update().queue_depth, 1.0);
+
+  ASSERT_TRUE((*first)->Close().ok());
+  ASSERT_TRUE((*second)->Write(batch).ok());
+  ASSERT_TRUE((*second)->Close().ok());
+  EXPECT_EQ(depth.value(), depth_before);
+  EXPECT_GT(slot_cpu.value(), cpu_before);
+}
+
 TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
   workloads::RegisterWorkloadActions();
   auto cluster_or = testing::MiniCluster::Start(SmallCluster());
@@ -374,7 +430,7 @@ TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
 
   // kEventDump with the clear flag drains the journal.
   EventJournal::Global().Clear();
-  obs::JournalEvent(EventType::kFlushStorm, "tcp", "test", 64);
+  obs::JournalEvent(EventType::kPoolExhausted, "pool", "test", 256);
   Buffer clear;
   clear.Resize(1);
   clear.mutable_span()[0] = 1;
@@ -382,7 +438,7 @@ TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
   ASSERT_TRUE(events.ok()) << events.status().ToString();
   const std::string events_json(
       reinterpret_cast<const char*>(events->data()), events->size());
-  EXPECT_TRUE(Contains(events_json, "\"type\":\"flush_storm\""));
+  EXPECT_TRUE(Contains(events_json, "\"type\":\"pool_exhausted\""));
   EXPECT_TRUE(EventJournal::Global().Snapshot().empty());
 }
 

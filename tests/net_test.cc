@@ -208,7 +208,7 @@ TEST(InProcTransportTest, AddressCollisionRejected) {
   EXPECT_TRUE(l3.ok());
 }
 
-// ---- TCP batching: torn frames, zero-copy bypass, deadline flush ------------
+// ---- TCP batching: torn frames, zero-copy bypass ---------------------------
 
 // Serializes a frame the way the transport's send side does: 40-byte header
 // followed by the raw payload bytes.
@@ -318,8 +318,8 @@ class RawClient {
 
 class TcpBatchingTest : public ::testing::Test {
  protected:
-  void StartServer(TcpOptions options = {}) {
-    transport_ = std::make_unique<TcpTransport>(4, options);
+  void StartServer() {
+    transport_ = std::make_unique<TcpTransport>(4);
     service_ = std::make_shared<EchoService>();
     auto listener = transport_->Listen("", service_);
     ASSERT_TRUE(listener.ok()) << listener.status().ToString();
@@ -392,13 +392,11 @@ TEST_F(TcpBatchingTest, ManyFramesInOneSendAllAnswered) {
   }
 }
 
-// Corked burst interleaving small frames with payloads above the
+// Corked burst interleaving small frames with payloads above the 16 KiB
 // inline-copy threshold: the large ones ride the same flush as their own
 // zero-copy iovecs and every byte must survive the gather.
 TEST_F(TcpBatchingTest, InterleavedLargeZeroCopyFrames) {
-  TcpOptions options;
-  options.inline_copy_bytes = 1024;  // force the zero-copy path early
-  StartServer(options);
+  StartServer();
   auto conn = transport_->Connect(listener_->address(), nullptr);
   ASSERT_TRUE(conn.ok());
 
@@ -425,44 +423,6 @@ TEST_F(TcpBatchingTest, InterleavedLargeZeroCopyFrames) {
     auto response = futures[i].get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->payload, payloads[i]) << "frame " << i;
-  }
-}
-
-// Deadline mode: a lone frame has no peers to coalesce with, so only the
-// flush_us timer can emit it — completion proves the deadline path fires.
-TEST_F(TcpBatchingTest, FlushOnDeadlineDeliversLoneFrame) {
-  TcpOptions options;
-  options.flush_us = 2000;
-  StartServer(options);
-  auto conn = transport_->Connect(listener_->address(), nullptr);
-  ASSERT_TRUE(conn.ok());
-  for (int i = 0; i < 3; ++i) {
-    auto result = (*conn)->CallSync(1, Buffer::FromString("tick"));
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->ToString(), "tick");
-  }
-}
-
-// Deadline mode under a pipelined burst: the frame-count budget (not the
-// timer) should flush, and every response must still match its request.
-TEST_F(TcpBatchingTest, DeadlineModePipelinedBurst) {
-  TcpOptions options;
-  options.flush_us = 50;
-  options.coalesce_frames = 8;
-  StartServer(options);
-  auto conn = transport_->Connect(listener_->address(), nullptr);
-  ASSERT_TRUE(conn.ok());
-  std::vector<std::future<Result<Message>>> futures;
-  for (int i = 0; i < 64; ++i) {
-    Message m;
-    m.opcode = 1;
-    m.payload = Buffer::FromString(std::to_string(i));
-    futures.push_back((*conn)->Call(std::move(m)));
-  }
-  for (int i = 0; i < 64; ++i) {
-    auto response = futures[i].get();
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->payload.ToString(), std::to_string(i));
   }
 }
 

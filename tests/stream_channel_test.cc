@@ -106,11 +106,14 @@ TEST(StreamChannelTest, AbortFailsEverybody) {
   channel.AsyncPush(1, Task("b"), [&](Status s) { admit_codes.push_back(s.code()); });
   channel.AsyncPop(5, [&](Result<DataTask> t) { pop_ok.push_back(t.ok()); });
   channel.Abort();
+  // A pop arriving after the abort, out of sequence (a pipelined read that
+  // raced a close), is answered at once instead of parking forever.
+  channel.AsyncPop(6, [&](Result<DataTask> t) { pop_ok.push_back(t.ok()); });
   // First push was admitted; the deferred second got kClosed; the parked
-  // out-of-sequence consumer got kClosed.
+  // out-of-sequence consumer and the late one got kClosed.
   EXPECT_EQ(admit_codes,
             (std::vector<StatusCode>{StatusCode::kOk, StatusCode::kClosed}));
-  EXPECT_EQ(pop_ok, (std::vector<bool>{false}));
+  EXPECT_EQ(pop_ok, (std::vector<bool>{false, false}));
   // Action-side ops fail fast after abort.
   EXPECT_EQ(channel.BlockingPush(Task("x"), nullptr).code(),
             StatusCode::kClosed);

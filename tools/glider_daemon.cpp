@@ -43,8 +43,7 @@ const std::set<std::string>& KnownFlags() {
   static const std::set<std::string> kFlags = {
       "listen", "metadata", "blocks", "block-size", "class", "slots",
       "partition", "trace", "sample-ms", "metrics-listen", "profile",
-      "profile-hz", "health-ms", "flush-us", "coalesce-bytes",
-      "coalesce-frames"};
+      "profile-hz", "health-ms"};
   return kFlags;
 }
 
@@ -107,13 +106,7 @@ int Usage() {
       "  --profile-hz N           profiler sample rate (implies --profile; "
       "default 99)\n"
       "  --health-ms N            heartbeat the cluster + phi-accrual failure "
-      "detection\n"
-      "\n"
-      "transport (any role):\n"
-      "  --flush-us N             hold small frames up to N us for batched "
-      "sends (default 0)\n"
-      "  --coalesce-bytes B       max bytes per coalesced send batch\n"
-      "  --coalesce-frames N      max frames per coalesced send batch\n");
+      "detection\n");
   return 2;
 }
 
@@ -189,18 +182,7 @@ int main(int argc, char** argv) {
     std::printf("metrics at http://%s/metrics\n",
                 metrics_http->address().c_str());
   }
-  // Send-coalescer knobs (DESIGN.md §8): --flush-us 0 (default) flushes
-  // opportunistically — batching emerges only under load; --flush-us N>0
-  // holds small frames up to N µs for bigger sendmsg batches. The byte /
-  // frame budgets cap a batch in either mode.
-  net::TcpOptions topts;
-  topts.flush_us =
-      static_cast<std::uint32_t>(std::stoul(FlagOr(flags, "flush-us", "0")));
-  topts.coalesce_bytes = std::stoul(
-      FlagOr(flags, "coalesce-bytes", std::to_string(topts.coalesce_bytes)));
-  topts.coalesce_frames = std::stoul(
-      FlagOr(flags, "coalesce-frames", std::to_string(topts.coalesce_frames)));
-  net::TcpTransport transport(16, topts);
+  net::TcpTransport transport(16);
   const std::string listen = FlagOr(flags, "listen", "127.0.0.1:0");
   const std::string metadata = FlagOr(flags, "metadata", "");
 
