@@ -754,20 +754,27 @@ void ActiveServer::DoActionDelete(SlotRequest req, net::Message request,
       slot, Method::kDelete, {},
       [slot, request, responder](ActionContext& ctx) mutable {
         std::shared_ptr<Action> object = slot->LiveObject();
+        Status status;
         if (object == nullptr) {
-          return Answer(std::move(responder), std::move(request),
-                        Status::NotFound("slot already empty"));
-        }
-        try {
-          object->onDelete(ctx);
-        } catch (const std::exception& e) {
-          GLIDER_LOG(kWarn, "active") << "onDelete threw: " << e.what();
-        }
-        {
+          status = Status::NotFound("slot already empty");
+        } else {
+          try {
+            object->onDelete(ctx);
+          } catch (const std::exception& e) {
+            GLIDER_LOG(kWarn, "active") << "onDelete threw: " << e.what();
+          }
           std::scoped_lock lock(slot->obj_mu);
           slot->object.reset();
         }
-        return Answer(std::move(responder), std::move(request), Status::Ok());
+        // The reply step holds the last reference to the action, so its
+        // state (a sorter's records, say) is freed after the caller is
+        // answered rather than inside the turn, ahead of the reply.
+        return [answer = Answer(std::move(responder), std::move(request),
+                                std::move(status)),
+                object = std::move(object)]() mutable {
+          answer();
+          object.reset();
+        };
       });
   if (!submitted.ok()) responder.SendError(request, submitted);
 }

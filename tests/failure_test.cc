@@ -2,6 +2,10 @@
 // operations, resource exhaustion, mid-stream teardown, unknown opcodes.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+
 #include "glider/client/action_node.h"
 #include "net/rpc_client.h"
 #include "testing/cluster.h"
@@ -46,6 +50,23 @@ class IgnoringAction : public Action {
   std::uint64_t StateBytes() const override { return kStateBytes; }
 };
 GLIDER_REGISTER_ACTION("fail.ignoring", IgnoringAction);
+
+// Its destructor blocks until the test releases it (10 s at most), so a test
+// can tell whether a delete answers before the action's state is freed.
+class SlowTeardownAction : public Action {
+ public:
+  ~SlowTeardownAction() override {
+    std::unique_lock lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(10), [] { return released; });
+    destroyed = true;
+    cv.notify_all();
+  }
+  static inline std::mutex mu;
+  static inline std::condition_variable cv;
+  static inline bool released = false;
+  static inline bool destroyed = false;
+};
+GLIDER_REGISTER_ACTION("fail.slow_teardown", SlowTeardownAction);
 
 class FailureTest : public ::testing::Test {
  protected:
@@ -100,6 +121,24 @@ TEST_F(FailureTest, ThrowingOnDeleteStillEmptiesSlot) {
   ThrowingAction::throw_on_delete = false;
   EXPECT_TRUE(deleted.ok()) << deleted.ToString();
   EXPECT_EQ(cluster_->active().LiveActions(), 0u);
+}
+
+// Freeing an action's state is not part of its delete turn: the reply goes
+// out first, so tearing down a large action does not hold up the caller.
+TEST_F(FailureTest, DeleteAnswersBeforeActionIsFreed) {
+  SlowTeardownAction::released = false;
+  SlowTeardownAction::destroyed = false;
+  ASSERT_TRUE(ActionNode::Create(*client_, "/s", "fail.slow_teardown").ok());
+  const Status deleted = ActionNode::Delete(*client_, "/s");
+  EXPECT_TRUE(deleted.ok()) << deleted.ToString();
+  EXPECT_EQ(cluster_->active().LiveActions(), 0u);
+  std::unique_lock lock(SlowTeardownAction::mu);
+  EXPECT_FALSE(SlowTeardownAction::destroyed);
+  SlowTeardownAction::released = true;
+  SlowTeardownAction::cv.notify_all();
+  EXPECT_TRUE(SlowTeardownAction::cv.wait_for(
+      lock, std::chrono::seconds(10),
+      [] { return SlowTeardownAction::destroyed; }));
 }
 
 // A create that reaches an occupied slot (bypassing the metadata server's
