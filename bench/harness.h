@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "common/prometheus.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "testing/cluster.h"
@@ -142,7 +143,7 @@ class BenchJsonWriter {
     }
     if (include_metrics_) {
       json += "},\"metrics\":";
-      json += obs::MetricsRegistry::Global().ToJson();
+      json += obs::SnapshotJson(obs::MetricsRegistry::Global().Snapshot());
       json += "}\n";
     } else {
       json += "}}\n";

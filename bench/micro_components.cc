@@ -15,6 +15,7 @@
 #include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/profiler.h"
+#include "common/prometheus.h"
 #include "common/serde.h"
 #include "common/spin_park.h"
 #include "common/thread_pool.h"
@@ -108,7 +109,7 @@ void BM_StreamChannelPushPop(benchmark::State& state) {
     core::DataTask task;
     task.data = BufferPool::Global().Acquire(64);
     channel.AsyncPush(seq++, std::move(task), [](Status) {});
-    benchmark::DoNotOptimize(channel.BlockingPop(nullptr));
+    benchmark::DoNotOptimize(channel.BlockingPopAll(nullptr, 1));
   }
 }
 BENCHMARK(BM_StreamChannelPushPop);
@@ -341,7 +342,7 @@ void WriteProfilerOverheadJson(const CapturingReporter& reporter) {
     first = false;
   }
   json += "},\"metrics\":";
-  json += obs::MetricsRegistry::Global().ToJson();
+  json += obs::SnapshotJson(obs::MetricsRegistry::Global().Snapshot());
   json += "}\n";
   if (first) return;  // neither variant ran (e.g. --benchmark_filter)
   std::FILE* f = std::fopen("BENCH_profiler_overhead.json", "w");

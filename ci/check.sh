@@ -281,7 +281,11 @@ trace_smoke() {
 # and (b) an Accept-negotiated OpenMetrics scrape of /metrics carries at
 # least one histogram exemplar ('# {trace_id=') linking a latency bucket
 # to a live trace, while the classic 0.0.4 scrape stays exemplar-free.
-# Takes the build dir so the sanitizer legs reuse it.
+# It also runs the tools that read node snapshots: `glider_cli stats` must
+# print a JSON object with counters/gauges/histograms objects, and
+# `glider_cli series` and `glider_cli cluster-stats` must succeed, the
+# latter with every server reachable. Takes the build dir so the sanitizer
+# legs reuse it.
 attr_smoke() {
   local build_dir="$1"
   local smoke_dir="${build_dir}/attr-smoke"
@@ -307,6 +311,29 @@ attr_smoke() {
       || { echo "attr smoke: ledger has no nonzero cpu/bytes row for ${tenant}";
            cat "${smoke_dir}/ledger.txt"; return 1; }
   done
+
+  local cli=("${build_dir}/tools/glider_cli" --metadata "${META_ADDR}")
+  "${cli[@]}" stats "${ACTIVE_ADDR}" >"${smoke_dir}/stats.json" \
+    || { echo "attr smoke: glider_cli stats failed"; return 1; }
+  python3 -c "import json,sys
+d = json.load(open(sys.argv[1]))
+sys.exit(not all(isinstance(d.get(k), dict)
+                 for k in ('counters', 'gauges', 'histograms')))" \
+    "${smoke_dir}/stats.json" \
+    || { echo "attr smoke: glider_cli stats is not counters/gauges/histograms JSON";
+         return 1; }
+  "${cli[@]}" series "${ACTIVE_ADDR}" >"${smoke_dir}/series.txt" \
+    || { echo "attr smoke: glider_cli series failed"; return 1; }
+  "${cli[@]}" cluster-stats >"${smoke_dir}/cluster-stats.txt" \
+    || { echo "attr smoke: glider_cli cluster-stats failed"; return 1; }
+  # Server rows sit between "servers:" and "merged counters:"; an
+  # unreachable one prints its status in brackets instead of its counts.
+  local unreachable
+  unreachable="$(sed -n '/^servers:/,/^merged counters:/{/\[/p;}' \
+    "${smoke_dir}/cluster-stats.txt")"
+  [[ -z "${unreachable}" ]] \
+    || { echo "attr smoke: cluster-stats has an unreachable server:";
+         echo "${unreachable}"; return 1; }
 
   # Exemplars are only legal in the OpenMetrics exposition format, so they
   # are negotiated via Accept: the classic (default) scrape must stay

@@ -149,13 +149,17 @@ std::vector<LedgerEntry> MergeLedgerEntries(
   return out;
 }
 
+std::map<PrincipalId, LedgerCell> PerPrincipal(
+    const std::vector<LedgerEntry>& entries) {
+  std::map<PrincipalId, LedgerCell> out;
+  for (const auto& entry : entries) out[entry.principal].Merge(entry.cell);
+  return out;
+}
+
 void PublishLedgerRollups() {
-  std::map<PrincipalId, LedgerCell> rollup;
-  for (const auto& entry : ResourceLedger::Global().Snapshot()) {
-    rollup[entry.principal].Merge(entry.cell);
-  }
   auto& registry = MetricsRegistry::Global();
-  for (const auto& [principal, cell] : rollup) {
+  for (const auto& [principal, cell] :
+       PerPrincipal(ResourceLedger::Global().Snapshot())) {
     const std::string prefix = "ledger." + PrincipalName(principal) + ".";
     registry.GetGauge(prefix + "cpu_us")
         .Set(static_cast<std::int64_t>(cell.cpu_us));

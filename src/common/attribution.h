@@ -15,8 +15,8 @@
 //     (principal, op) recording cpu_us / queue_us / bytes_in / bytes_out /
 //     invocations. Charged at the existing dispatch sites (RPC dispatch,
 //     action run/queue accounting, storage block ops, stream-channel
-//     push/pop); snapshots merge the shards exactly, and kLedgerDump
-//     merges exactly across nodes (sums are associative).
+//     push/pop); snapshots merge the shards exactly, and node snapshots
+//     (kNodeSnapshot) merge exactly across nodes (sums are associative).
 //
 //   * SpaceSavingTopK — bounded-memory heavy-hitter sketches (Metwally et
 //     al.'s space-saving algorithm) over object keys, action methods and
@@ -126,14 +126,17 @@ class ResourceLedger {
 };
 
 // Exact merge of two ledger snapshots (cells sum per (principal, op)):
-// the cluster-wide kLedgerDump merge.
+// the cluster-wide node-snapshot merge.
 std::vector<LedgerEntry> MergeLedgerEntries(
     const std::vector<LedgerEntry>& a, const std::vector<LedgerEntry>& b);
 
+// Ledger cells summed per principal (the per-tenant rollup).
+std::map<PrincipalId, LedgerCell> PerPrincipal(
+    const std::vector<LedgerEntry>& entries);
+
 // Republishes per-principal rollups of the global ledger as gauges
 // ("ledger.<principal>.{cpu_us,queue_us,bytes_in,bytes_out,invocations}")
-// so kSeriesDump / Prometheus / glider_top see attribution without the
-// dedicated ledger opcode.
+// so a Prometheus scrape sees attribution too.
 void PublishLedgerRollups();
 
 // --- Heavy-hitter sketch ----------------------------------------------------
@@ -191,8 +194,8 @@ class SpaceSavingTopK {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
-// Process-global sketches fed by the charging sites and served by
-// kLedgerDump: object keys (metadata paths), action methods
+// Process-global sketches fed by the charging sites and carried by the
+// node snapshot: object keys (metadata paths), action methods
 // ("<type>.<method>"), and principals.
 SpaceSavingTopK& KeySketch();
 SpaceSavingTopK& MethodSketch();

@@ -26,7 +26,7 @@
 // the EventJournal (kPeerAlive/kPeerSuspect/kPeerDead).
 //
 // Heartbeats come from two sources: the ClusterMonitor/HealthMonitor poll
-// loops call Heartbeat() on every successful kSeriesDump/kHeartbeat reply,
+// loops call Heartbeat() on every successful kNodeSnapshot/kHeartbeat reply,
 // and the dedicated kHeartbeat opcode keeps otherwise idle links observed.
 #pragma once
 

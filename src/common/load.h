@@ -16,11 +16,11 @@
 // hotspots, whatever the ratios say).
 //
 // Update() re-derives everything from a registry snapshot at most once per
-// min_window (callers can invoke it from every kHeartbeat/kSeriesDump
+// min_window (callers can invoke it from every kHeartbeat/kNodeSnapshot
 // handler without re-paying the snapshot) and publishes the results back
 // into the registry — gauges "load_index" (milli-scaled: 1000 = 1.0,
 // gauges are integers), "hotspot_slots", and per-slot "active.slot<i>.hot"
-// flags — so /metrics, kSeriesDump and glider_top all see them.
+// flags — so /metrics, kNodeSnapshot and glider_top all see them.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,6 @@
 #include "common/metrics_registry.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/metrics.h"
 
@@ -51,60 +49,6 @@ void MetricsRegistry::MirrorLinkCounters(const Metrics& metrics) {
       .Set(static_cast<std::int64_t>(metrics.StorageAccesses()));
   GetGauge("store.stored_bytes").Set(metrics.StoredBytes());
   GetGauge("store.peak_stored_bytes").Set(metrics.PeakStoredBytes());
-}
-
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-}  // namespace
-
-std::string MetricsRegistry::ToJson() const {
-  std::scoped_lock lock(mu_);
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  char buf[160];
-  for (const auto& [name, c] : counters_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, c->value());
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    std::snprintf(buf, sizeof(buf), "\":%" PRId64, g->value());
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    std::snprintf(buf, sizeof(buf),
-                  "\":{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                  ",\"mean\":%.3f,\"min\":%" PRIu64 ",\"max\":%" PRIu64
-                  ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64 ",\"p99\":%" PRIu64
-                  "}",
-                  h->Count(), h->Sum(), h->Mean(), h->Min(), h->Max(),
-                  h->Percentile(50), h->Percentile(95), h->Percentile(99));
-    out += buf;
-  }
-  out += "}}";
-  return out;
 }
 
 void MetricsRegistry::ResetAll() {
@@ -216,6 +160,36 @@ const std::int64_t* MetricsSnapshot::FindGauge(const std::string& name) const {
     if (n == name) return &v;
   }
   return nullptr;
+}
+
+namespace {
+
+template <typename V, typename Add>
+void MergeNamed(std::vector<std::pair<std::string, V>>& ours,
+                const std::vector<std::pair<std::string, V>>& theirs,
+                Add add) {
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < ours.size(); ++i) index.emplace(ours[i].first, i);
+  for (const auto& [name, value] : theirs) {
+    auto [it, inserted] = index.try_emplace(name, ours.size());
+    if (inserted) {
+      ours.emplace_back(name, value);
+    } else {
+      add(ours[it->second].second, value);
+    }
+  }
+}
+
+}  // namespace
+
+void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
+  auto sum = [](auto& a, const auto& b) { a += b; };
+  MergeNamed(counters, other.counters, sum);
+  MergeNamed(gauges, other.gauges, sum);
+  MergeNamed(histograms, other.histograms,
+             [](HistogramSnapshot& a, const HistogramSnapshot& b) {
+               a.Merge(b);
+             });
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

@@ -211,7 +211,7 @@ class LatencyHistogram {
 };
 
 // Point-in-time copy of one histogram: the log2 bucket counts plus the
-// aggregates. Value type — snapshots travel across the wire (kSeriesDump),
+// aggregates. Value type — snapshots travel across the wire (kNodeSnapshot),
 // merge across servers (ClusterMonitor) and subtract across time
 // (TimeSeriesSampler windows).
 struct HistogramSnapshot {
@@ -256,6 +256,11 @@ struct MetricsSnapshot {
   const HistogramSnapshot* FindHistogram(const std::string& name) const;
   const std::uint64_t* FindCounter(const std::string& name) const;
   const std::int64_t* FindGauge(const std::string& name) const;
+
+  // Adds another process's snapshot by name: counters and gauges sum,
+  // histograms merge bucket-wise. Names new to this snapshot append in
+  // first-seen order.
+  void Merge(const MetricsSnapshot& other);
 };
 
 class MetricsRegistry {
@@ -270,12 +275,8 @@ class MetricsRegistry {
 
   // Republishes the fixed link-class Metrics counters as gauges
   // ("link.faas.bytes_sent", ... — see DESIGN.md "Observability") so one
-  // JSON export covers the paper indicators too.
+  // snapshot covers the paper indicators too.
   void MirrorLinkCounters(const Metrics& metrics);
-
-  // JSON object: {"counters":{...},"gauges":{...},"histograms":{name:
-  // {count,sum,mean,min,max,p50,p95,p99}}}.
-  std::string ToJson() const;
 
   // Copies every instrument under the registry mutex. Because ResetAll()
   // zeroes under the same mutex, a snapshot observes either all-pre-reset

@@ -26,6 +26,16 @@ void AppendI64(std::string& out, std::int64_t v) {
   out += buf;
 }
 
+// Appends `"name":` with quotes and backslashes escaped.
+void AppendJsonKey(std::string& out, const std::string& name) {
+  out.push_back('"');
+  for (char c : name) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  out += "\":";
+}
+
 // Renders `labels` as a brace block, optionally appending `extra` (the
 // histogram `le` label, already escaped) last. Empty when there is nothing
 // to render.
@@ -192,6 +202,43 @@ std::string PrometheusText(const MetricsRegistry& registry,
                            const PrometheusLabels& labels,
                            PrometheusFormat format) {
   return PrometheusText(registry.Snapshot(), labels, format);
+}
+
+std::string SnapshotJson(const MetricsSnapshot& snapshot) {
+  std::string out = "{\"counters\":{";
+  const char* sep = "";
+  for (const auto& [name, value] : snapshot.counters) {
+    out += sep;
+    sep = ",";
+    AppendJsonKey(out, name);
+    AppendU64(out, value);
+  }
+  out += "},\"gauges\":{";
+  sep = "";
+  for (const auto& [name, value] : snapshot.gauges) {
+    out += sep;
+    sep = ",";
+    AppendJsonKey(out, name);
+    AppendI64(out, value);
+  }
+  out += "},\"histograms\":{";
+  sep = "";
+  char buf[160];
+  for (const auto& [name, h] : snapshot.histograms) {
+    out += sep;
+    sep = ",";
+    AppendJsonKey(out, name);
+    std::snprintf(buf, sizeof(buf),
+                  "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
+                  ",\"mean\":%.3f,\"min\":%" PRIu64 ",\"max\":%" PRIu64
+                  ",\"p50\":%" PRIu64 ",\"p95\":%" PRIu64 ",\"p99\":%" PRIu64
+                  "}",
+                  h.count, h.sum, h.Mean(), h.min, h.max, h.Percentile(50),
+                  h.Percentile(95), h.Percentile(99));
+    out += buf;
+  }
+  out += "}}";
+  return out;
 }
 
 }  // namespace glider::obs

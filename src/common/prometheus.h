@@ -1,5 +1,7 @@
-// Prometheus text exposition for the MetricsRegistry, so any glider
-// process can be scraped by off-the-shelf tooling. Two formats:
+// Text renderers for a MetricsSnapshot, used at the tool edge: JSON for
+// `glider_cli stats` and the bench snapshots (SnapshotJson, below), and
+// the Prometheus text exposition, so any glider process can be scraped by
+// off-the-shelf tooling. Two Prometheus formats:
 //
 //   * kClassic04 — the classic text format (version 0.0.4). No exemplars:
 //     the 0.0.4 parser rejects the ` # {...}` suffix, so classic output
@@ -68,5 +70,9 @@ std::string PrometheusText(const MetricsRegistry& registry,
                            const PrometheusLabels& labels = {},
                            PrometheusFormat format =
                                PrometheusFormat::kClassic04);
+
+// JSON object with the same families: {"counters":{name:value,...},
+// "gauges":{...},"histograms":{name:{count,sum,mean,min,max,p50,p95,p99}}}.
+std::string SnapshotJson(const MetricsSnapshot& snapshot);
 
 }  // namespace glider::obs

@@ -10,7 +10,7 @@
 //   <hist>.rate          count delta / dt              (events per second)
 //   <hist>.p50 / .p99    nearest-rank percentile of the *window's* records
 //
-// so a scraper (kSeriesDump, glider_top) sees rates and rolling percentiles
+// so a scraper (kNodeSnapshot, glider_top) sees rates and rolling percentiles
 // instead of since-boot aggregates. Rings are bounded (default: 120 samples
 // = 2 minutes at the 1 s default cadence); old samples fall off the back.
 //
@@ -81,7 +81,7 @@ class TimeSeries {
   std::vector<Sample> samples_;
 };
 
-// One named series, as exported by kSeriesDump.
+// One named series, as exported by kNodeSnapshot.
 struct SeriesData {
   std::string name;
   std::vector<TimeSeries::Sample> samples;
@@ -94,7 +94,7 @@ class TimeSeriesSampler {
     std::size_t ring_capacity = 120;
   };
 
-  // The process-wide sampler (the one kSeriesDump exports). Servers share
+  // The process-wide sampler (the one kNodeSnapshot exports). Servers share
   // one registry per process, so they share one sampler too.
   static TimeSeriesSampler& Global();
 

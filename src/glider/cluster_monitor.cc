@@ -1,6 +1,7 @@
 #include "glider/cluster_monitor.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "common/trace_assemble.h"
@@ -31,7 +32,7 @@ Result<nk::ListServersResponse> ClusterMonitor::Discover() {
     return conn.status();
   }
   auto resp = net::Call<nk::ListServersResponse>(
-      **conn, nk::kListServers, nk::EmptyRequest{});
+      **conn, nk::kListServers, net::EmptyRequest{});
   if (!resp.ok()) conns_.erase(metadata_address_);
   return resp;
 }
@@ -65,8 +66,8 @@ ClusterMonitor::AlignClocks(int samples_per_server) {
     for (int i = 0; i < samples_per_server; ++i) {
       obs::ClockSample sample;
       sample.send_us = obs::TraceNowMicros();
-      auto resp =
-          net::Call<net::HeartbeatResponse>(**conn, net::kHeartbeat, Buffer{});
+      auto resp = net::Call<net::HeartbeatResponse>(**conn, net::kHeartbeat,
+                                                    net::EmptyRequest{});
       sample.recv_us = obs::TraceNowMicros();
       if (!resp.ok()) {
         conns_.erase(address);  // reconnect on the next use
@@ -93,21 +94,16 @@ ClusterMonitor::AlignClocks(int samples_per_server) {
 Result<std::string> ClusterMonitor::FetchTraceJson(const std::string& address,
                                                    bool clear_after) {
   GLIDER_ASSIGN_OR_RETURN(auto conn, Conn(address));
-  Buffer payload;
-  if (clear_after) {
-    payload.Resize(1);
-    payload.mutable_span()[0] = 1;
-  }
-  auto result = conn->CallSync(net::kTraceDump, std::move(payload));
+  auto result = net::Call<Buffer>(*conn, net::kTraceDump,
+                                  net::DumpRequest{clear_after});
   if (!result.ok()) {
     conns_.erase(address);
     return result.status();
   }
-  return std::string(reinterpret_cast<const char*>(result->data()),
-                     result->size());
+  return result->ToString();
 }
 
-Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll() {
+Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll(bool clear_after) {
   ClusterSample sample;
   auto discovered = Discover();
   if (discovered.ok()) {
@@ -122,9 +118,8 @@ Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll() {
   }
 
   // The metadata server first (it has no registry entry of its own), then
-  // every registered server. Servers that share one process (MiniCluster,
-  // single-daemon deployments) share one registry; polling the same
-  // address twice would double-count, so dedupe by address.
+  // every registered server. Every address is polled, so each row gets its
+  // heartbeat; the merge below takes one snapshot per process.
   std::vector<std::pair<nk::ListServersResponse::Entry, bool>> targets;
   {
     nk::ListServersResponse::Entry meta;
@@ -134,131 +129,45 @@ Result<ClusterMonitor::ClusterSample> ClusterMonitor::Poll() {
   for (const auto& server : last_discovered_) {
     targets.emplace_back(server, false);
   }
-  std::vector<std::string> seen;
+  std::set<std::uint64_t> merged_processes;
   for (auto& [entry, is_meta] : targets) {
     ServerSample s;
     s.server = std::move(entry);
     s.is_metadata = is_meta;
-    if (std::find(seen.begin(), seen.end(), s.server.address) != seen.end()) {
-      s.status = Status::AlreadyExists("address already polled");
-      sample.servers.push_back(std::move(s));
-      continue;
-    }
-    seen.push_back(s.server.address);
     auto conn = Conn(s.server.address);
     if (!conn.ok()) {
       s.status = conn.status();
     } else {
-      auto dump = net::Call<net::SeriesDumpResponse>(**conn, net::kSeriesDump,
-                                                     Buffer{});
-      if (!dump.ok()) {
+      auto snapshot = net::Call<net::NodeSnapshot>(
+          **conn, net::kNodeSnapshot, net::DumpRequest{clear_after});
+      if (!snapshot.ok()) {
         conns_.erase(s.server.address);  // reconnect on the next poll
-        s.status = dump.status();
+        s.status = snapshot.status();
       } else {
-        s.dump = std::move(dump).value();
-        // A successful dump is a heartbeat; the dump's load gauges (milli
+        s.snapshot = std::move(snapshot).value();
+        // A successful snapshot is a heartbeat; its load gauges (milli
         // scaled, published by the server's LoadTracker) ride along.
         health_.Heartbeat(s.server.address);
-        if (const std::int64_t* li = s.dump.snapshot.FindGauge("load_index")) {
+        const obs::MetricsSnapshot& metrics = s.snapshot.metrics;
+        if (const std::int64_t* li = metrics.FindGauge("load_index")) {
           s.load_index = static_cast<double>(*li) / 1000.0;
         }
-        if (const std::int64_t* hs =
-                s.dump.snapshot.FindGauge("hotspot_slots")) {
+        if (const std::int64_t* hs = metrics.FindGauge("hotspot_slots")) {
           s.hotspot_slots = *hs;
         }
         health_.ReportLoad(s.server.address, s.load_index, s.hotspot_slots);
+        // A process answering under a second address was merged already
+        // (with `clear_after`, this later snapshot also comes back empty).
+        if (merged_processes.insert(s.snapshot.process_id).second) {
+          sample.merged.Merge(s.snapshot);
+        }
       }
     }
     s.health = health_.State(s.server.address);
     s.phi = health_.Phi(s.server.address);
     sample.servers.push_back(std::move(s));
   }
-
-  std::vector<const obs::MetricsSnapshot*> snapshots;
-  for (const auto& s : sample.servers) {
-    if (s.status.ok()) snapshots.push_back(&s.dump.snapshot);
-  }
-  sample.merged = Merge(snapshots);
   return sample;
-}
-
-Result<net::LedgerDumpResponse> ClusterMonitor::PollLedgers(bool clear_after) {
-  auto discovered = Discover();
-  if (discovered.ok()) {
-    last_discovered_ = std::move(discovered).value().servers;
-    has_discovered_ = true;
-  } else if (!has_discovered_) {
-    return discovered.status();
-  }
-
-  std::vector<std::string> addresses{metadata_address_};
-  for (const auto& server : last_discovered_) {
-    if (std::find(addresses.begin(), addresses.end(), server.address) ==
-        addresses.end()) {
-      addresses.push_back(server.address);
-    }
-  }
-
-  net::LedgerDumpResponse merged;
-  bool any = false;
-  for (const std::string& address : addresses) {
-    auto conn = Conn(address);
-    if (!conn.ok()) continue;
-    Buffer payload;
-    if (clear_after) {
-      payload.Resize(1);
-      payload.mutable_span()[0] = 1;
-    }
-    auto result = (*conn)->CallSync(net::kLedgerDump, std::move(payload));
-    if (!result.ok()) {
-      conns_.erase(address);
-      continue;
-    }
-    auto dump = net::LedgerDumpResponse::Decode(
-        ByteSpan(result->data(), result->size()));
-    if (!dump.ok()) continue;
-    merged.Merge(dump.value());
-    any = true;
-  }
-  if (!any) return Status::Unavailable("no server answered ledger dump");
-  return merged;
-}
-
-obs::MetricsSnapshot ClusterMonitor::Merge(
-    const std::vector<const obs::MetricsSnapshot*>& snapshots) {
-  obs::MetricsSnapshot merged;
-  // Order-preserving name -> index maps keep the merged vectors sorted the
-  // way std::map-backed registries emit them (first-seen order).
-  std::map<std::string, std::size_t> counter_idx, gauge_idx, hist_idx;
-  for (const obs::MetricsSnapshot* snap : snapshots) {
-    for (const auto& [name, value] : snap->counters) {
-      auto [it, inserted] =
-          counter_idx.try_emplace(name, merged.counters.size());
-      if (inserted) {
-        merged.counters.emplace_back(name, value);
-      } else {
-        merged.counters[it->second].second += value;
-      }
-    }
-    for (const auto& [name, value] : snap->gauges) {
-      auto [it, inserted] = gauge_idx.try_emplace(name, merged.gauges.size());
-      if (inserted) {
-        merged.gauges.emplace_back(name, value);
-      } else {
-        merged.gauges[it->second].second += value;
-      }
-    }
-    for (const auto& [name, hist] : snap->histograms) {
-      auto [it, inserted] =
-          hist_idx.try_emplace(name, merged.histograms.size());
-      if (inserted) {
-        merged.histograms.emplace_back(name, hist);
-      } else {
-        merged.histograms[it->second].second.Merge(hist);
-      }
-    }
-  }
-  return merged;
 }
 
 }  // namespace glider

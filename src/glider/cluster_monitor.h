@@ -3,14 +3,14 @@
 //
 // Given one metadata address it discovers every registered server via
 // kListServers, polls each (plus the metadata server itself) with the
-// typed kSeriesDump stub, and merges the per-process registry snapshots
-// into one cluster-wide MetricsSnapshot: counters and gauges sum, log2
+// typed kNodeSnapshot stub, and merges one snapshot per process into one
+// cluster-wide NodeSnapshot: counters, gauges and ledger cells sum, log2
 // histograms merge bucket-wise — percentiles over the merged buckets are
 // exact cluster percentiles, not averages of per-server percentiles.
 //
-// glider_top and `glider_cli cluster-stats` are thin views over Poll();
-// the monitor keeps cached connections so a 1-second poll loop costs one
-// RPC per server per tick.
+// glider_top and `glider_cli cluster-stats|ledger|health` are thin views
+// over Poll(); the monitor keeps cached connections so a 1-second poll
+// loop costs one RPC per server per tick.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +34,14 @@ class ClusterMonitor {
     nk::ListServersResponse::Entry server;
     bool is_metadata = false;
     Status status = Status::Ok();
-    net::SeriesDumpResponse dump;  // valid when status.ok()
+    net::NodeSnapshot snapshot;  // valid when status.ok()
     // Failure-detector view of this address (fed by every poll: a
-    // successful dump is a heartbeat). Unreachable servers keep their
+    // successful snapshot is a heartbeat). Unreachable servers keep their
     // detector row, so glider_top can show suspect/dead instead of a bare
     // error.
     obs::PeerState health = obs::PeerState::kUnknown;
     double phi = 0.0;
-    // From the dump gauges when present (milli-scaled "load_index" /
+    // From the snapshot gauges when present (milli-scaled "load_index" /
     // "hotspot_slots" published by the server's LoadTracker).
     double load_index = 0.0;
     std::int64_t hotspot_slots = -1;  // -1 = not reported
@@ -49,7 +49,10 @@ class ClusterMonitor {
 
   struct ClusterSample {
     std::vector<ServerSample> servers;
-    obs::MetricsSnapshot merged;  // across all reachable servers
+    // One snapshot per reachable process, merged. Servers that share a
+    // process (MiniCluster, a daemon listed under two addresses) share its
+    // registry and ledger, so they count once.
+    net::NodeSnapshot merged;
     // True when this round used the cached server list because the
     // metadata server did not answer Discover().
     bool stale_discovery = false;
@@ -89,29 +92,18 @@ class ClusterMonitor {
   Result<std::string> FetchTraceJson(const std::string& address,
                                      bool clear_after = false);
 
-  // One poll across the cluster: discover + kSeriesDump everyone. A dead
-  // metadata server degrades to the cached server list (stale_discovery)
-  // with the metadata row marked unreachable — one dead server, even that
-  // one, never blinds the whole sample. Fails only before the first
-  // successful discovery, when there is no cached list to fall back to.
-  Result<ClusterSample> Poll();
-
-  // One attribution poll: discover + kLedgerDump every reachable server
-  // (deduped by address, like Poll), exactly merged — ledger cells sum per
-  // (principal, op), sketches merge under the space-saving rule.
-  // `clear_after` requests clear-after-dump on every server. Fails only
-  // when no server answered.
-  Result<net::LedgerDumpResponse> PollLedgers(bool clear_after = false);
+  // One poll across the cluster: discover + kNodeSnapshot everyone.
+  // `clear_after` asks every server to clear its ledger and sketches once
+  // its snapshot is taken. A dead metadata server degrades to the cached
+  // server list (stale_discovery) with the metadata row marked unreachable
+  // — one dead server, even that one, never blinds the whole sample. Fails
+  // only before the first successful discovery, when there is no cached
+  // list to fall back to.
+  Result<ClusterSample> Poll(bool clear_after = false);
 
   // The monitor's failure detector, fed one heartbeat per reachable server
   // per Poll(). Exposed so tools can render the board or tune thresholds.
   obs::HealthDetector& health() { return health_; }
-
-  // Bucket-wise merge of per-server snapshots (sum counters/gauges, merge
-  // histograms). Public + static: tests and offline tooling merge dumps
-  // without a live cluster.
-  static obs::MetricsSnapshot Merge(
-      const std::vector<const obs::MetricsSnapshot*>& snapshots);
 
  private:
   Result<std::shared_ptr<net::Connection>> Conn(const std::string& address);

@@ -38,7 +38,7 @@ void HealthMonitor::TickOnce() {
     auto conn = Conn(metadata_address_);
     if (conn.ok()) {
       auto resp = net::Call<nk::ListServersResponse>(
-          **conn, nk::kListServers, nk::EmptyRequest{});
+          **conn, nk::kListServers, net::EmptyRequest{});
       if (resp.ok()) {
         std::vector<std::string> targets;
         targets.push_back(metadata_address_);
@@ -65,7 +65,7 @@ void HealthMonitor::TickOnce() {
     obs::ClockSample clock_sample;
     clock_sample.send_us = obs::TraceNowMicros();
     auto resp = net::Call<net::HeartbeatResponse>(**conn, net::kHeartbeat,
-                                                  Buffer{});
+                                                  net::EmptyRequest{});
     clock_sample.recv_us = obs::TraceNowMicros();
     if (!resp.ok()) {
       conns_.erase(address);  // reconnect on the next tick

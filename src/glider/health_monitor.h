@@ -12,7 +12,7 @@
 //     (`glider_cli health`).
 //
 // ClusterMonitor-driven pollers (glider_top) get heartbeats for free from
-// their kSeriesDump loop; the HealthMonitor exists so that *servers* watch
+// their kNodeSnapshot loop; the HealthMonitor exists so that *servers* watch
 // each other even when nobody is polling — the daemon runs one when
 // --health-ms is set.
 #pragma once

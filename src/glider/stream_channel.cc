@@ -304,30 +304,6 @@ void StreamChannel::ParkLocked(std::unique_lock<std::mutex>& lock,
   }
 }
 
-Result<DataTask> StreamChannel::BlockingPop(ActionMonitor* monitor) {
-  SpinForItems();
-  std::unique_lock lock(mu_);
-  while (true) {
-    if (!items_.empty()) {
-      DataTask task = std::move(items_.front());
-      items_.pop_front();
-      FireList fire;
-      fire.Add(PromoteLocked());
-      PublishHintLocked();
-      lock.unlock();
-      RecordTransit(task);
-      fire.FireAll();
-      return task;
-    }
-    if (aborted_ || producer_closed_) {
-      // For write streams the end arrives in-band (eos task); reaching here
-      // closed means teardown.
-      return Status::Closed("stream closed");
-    }
-    ParkLocked(lock, monitor, "channel.pop");
-  }
-}
-
 Result<std::vector<DataTask>> StreamChannel::BlockingPopAll(
     ActionMonitor* monitor, std::size_t max_items) {
   if (max_items == 0) max_items = 1;
@@ -352,6 +328,8 @@ Result<std::vector<DataTask>> StreamChannel::BlockingPopAll(
       return batch;
     }
     if (aborted_ || producer_closed_) {
+      // For write streams the end arrives in-band (eos task); reaching here
+      // closed means teardown.
       return Status::Closed("stream closed");
     }
     ParkLocked(lock, monitor, "channel.pop");

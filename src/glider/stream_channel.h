@@ -120,14 +120,12 @@ class StreamChannel {
 
   // --- action-thread side (may block) ---
 
-  // Pops the next task in order; blocks while empty. With a monitor, the
-  // wait yields the action's turn. kClosed after Abort().
-  Result<DataTask> BlockingPop(ActionMonitor* monitor);
-
   // Pops every queued in-order task (at least one; blocks while empty), up
   // to `max_items`, under one lock acquisition. Write-stream consumers use
   // this to drain a doorbell batch at the cost of a single wakeup. The
   // batch may contain the eos task (always last: nothing follows eos).
+  // With a monitor, the wait yields the action's turn. kClosed after
+  // Abort(), or once the producer closed and the queue is empty.
   Result<std::vector<DataTask>> BlockingPopAll(ActionMonitor* monitor,
                                                std::size_t max_items);
 

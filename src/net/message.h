@@ -23,8 +23,9 @@
 // sent by both sides before any frame) so a mixed-version peer fails fast
 // with a clear mismatch error instead of misreading payload_len at the
 // wrong offset and misframing. Bump kWireVersion whenever the header
-// layout changes (v2: the header grew from 32 to 40 bytes when
-// `principal` was added).
+// layout or an opcode's meaning changes (v2: the header grew from 32 to 40
+// bytes when `principal` was added; v3: the management opcodes moved from
+// 990-998 to 56-62).
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,11 @@ inline constexpr std::size_t kFrameHeaderSize = 2 + 2 + 8 + 8 + 8 + 8 + 4;
 
 // Connection preamble: 4 magic bytes + u32 wire version (little-endian),
 // exchanged once per TCP connection before the first frame in either
-// direction. v2 = the 40-byte header with the `principal` field.
+// direction. v3 = the 40-byte header with the `principal` field and the
+// management opcodes at 56-62.
 inline constexpr std::size_t kWirePreambleSize = 8;
 inline constexpr std::uint8_t kWireMagic[4] = {'G', 'L', 'D', 'R'};
-inline constexpr std::uint32_t kWireVersion = 2;
+inline constexpr std::uint32_t kWireVersion = 3;
 
 inline void EncodeWirePreamble(std::uint8_t (&out)[kWirePreambleSize]) {
   for (int i = 0; i < 4; ++i) out[i] = kWireMagic[i];
@@ -179,6 +181,13 @@ inline Message ErrorResponse(const Message& req, const Status& status) {
   m.payload = Buffer::FromString(status.message());
   return m;
 }
+
+// The request of opcodes that take no arguments (kListServers, kHeartbeat,
+// kHealthDump).
+struct EmptyRequest {
+  Buffer Encode() const { return {}; }
+  static Result<EmptyRequest> Decode(ByteSpan) { return EmptyRequest{}; }
+};
 
 // Converts a response message into Result<Buffer> (payload on success).
 inline Result<Buffer> ToResult(Message response) {

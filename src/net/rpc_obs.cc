@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <random>
 
 #include "common/bytes.h"
-#include "common/event_journal.h"
-#include "common/health.h"
 #include "common/load.h"
 #include "common/metrics.h"
 #include "common/profiler.h"
@@ -34,29 +34,29 @@ const char* RpcOpName(std::uint16_t opcode) {
     case 34: return "StreamRead";
     case 35: return "StreamClose";
     case 36: return "ActionStat";
+    case 37: return "StreamWriteBatch";
     case 50: return "S3Put";
     case 51: return "S3Get";
     case 52: return "S3SelectSample";
     case 53: return "S3Delete";
     case 54: return "S3Size";
     case 8: return "ListServers";
-    case kStatsDump: return "StatsDump";
+    case kNodeSnapshot: return "NodeSnapshot";
     case kTraceDump: return "TraceDump";
-    case kSeriesDump: return "SeriesDump";
     case kSlowTraceDump: return "SlowTraceDump";
     case kProfileDump: return "ProfileDump";
     case kHeartbeat: return "Heartbeat";
     case kHealthDump: return "HealthDump";
     case kEventDump: return "EventDump";
-    case kLedgerDump: return "LedgerDump";
     default: return "OpOther";
   }
 }
 
 obs::LatencyHistogram* RpcHistogram(bool server_side, int transport_index,
                                     std::uint16_t opcode) {
-  // Known opcodes are < 64; everything else (including the 99x management
-  // ops) shares the last slot, named via RpcOpName's fallback.
+  // Every routable opcode (services and management ops alike) is below 63
+  // and gets its own slot; anything else shares the last slot, named via
+  // RpcOpName's fallback.
   constexpr std::size_t kSlots = 64;
   const std::size_t slot = opcode < kSlots - 1 ? opcode : kSlots - 1;
   static std::array<std::array<std::array<std::atomic<obs::LatencyHistogram*>,
@@ -149,9 +149,7 @@ void HandleWithObs(Service& service, Message request, Responder responder,
   const std::uint64_t start_us = obs::TraceNowMicros();
   const obs::TraceContext parent{request.trace_id, request.span_id};
   const obs::PrincipalId principal = request.principal;
-  // Management opcodes (>= 900) stay off the ledger so monitoring polls do
-  // not pollute the attribution they are reading.
-  const bool charged = opcode < 900;
+  const bool charged = !IsManagementOp(opcode);
   std::uint64_t span_id = parent.span_id;
   if (parent.trace_id != 0) {
     // The server span is recorded when the RESPONSE is sent, not when the
@@ -206,33 +204,67 @@ void RefreshMirroredGauges(const Metrics* metrics) {
       .Set(static_cast<std::int64_t>(data_plane::PoolHits()));
   registry.GetGauge("data_plane.pool_misses")
       .Set(static_cast<std::int64_t>(data_plane::PoolMisses()));
-  // Touching the counter here materializes it even at zero, so every stats
-  // dump / /metrics scrape reports span loss explicitly instead of omitting
-  // the row until the first drop.
+  // Touching the counter here materializes it even at zero, so every node
+  // snapshot / /metrics scrape reports span loss explicitly instead of
+  // omitting the row until the first drop.
   static obs::Counter& dropped =
       obs::MetricsRegistry::Global().GetCounter("trace.dropped_spans");
   (void)dropped;
-  // Load index + hotspot gauges ride the same refresh: every stats/series
-  // dump (and every /metrics scrape via the HTTP hook) sees fresh values.
+  // Load index + hotspot gauges ride the same refresh: every node snapshot
+  // (and every /metrics scrape via the HTTP hook) sees fresh values.
   obs::LoadTracker::Global().Update();
   // Per-principal ledger rollups ("ledger.<principal>.*") ride along too,
-  // so kSeriesDump / Prometheus / glider_top get attribution without the
-  // dedicated kLedgerDump opcode.
+  // so a Prometheus scrape sees attribution without the node snapshot.
   obs::PublishLedgerRollups();
 }
 
-std::string StatsJson(const Metrics* metrics) {
-  RefreshMirroredGauges(metrics);
-  return obs::MetricsRegistry::Global().ToJson();
+Buffer DumpRequest::Encode() const {
+  BinaryWriter w;
+  w.PutBool(clear);
+  return std::move(w).Finish();
 }
 
-// --- kSeriesDump wire format -------------------------------------------------
-//
-// Histograms as sparse (u8 bucket index, u64 count) pairs: log2 histograms
-// populate a handful of the 64 buckets, so sparse beats dense ~8x.
+Result<DumpRequest> DumpRequest::Decode(ByteSpan payload) {
+  BinaryReader r(payload);
+  DumpRequest req;
+  GLIDER_ASSIGN_OR_RETURN(req.clear, r.Bool());
+  return req;
+}
+
+Buffer ProfileRequest::Encode() const {
+  BinaryWriter w;
+  w.PutU8(static_cast<std::uint8_t>(cmd));
+  w.PutU32(hz);
+  return std::move(w).Finish();
+}
+
+Result<ProfileRequest> ProfileRequest::Decode(ByteSpan payload) {
+  BinaryReader r(payload);
+  ProfileRequest req;
+  GLIDER_ASSIGN_OR_RETURN(auto cmd, r.U8());
+  if (cmd > static_cast<std::uint8_t>(ProfileCmd::kStop)) {
+    return Status::InvalidArgument("unknown profile command " +
+                                   std::to_string(cmd));
+  }
+  req.cmd = static_cast<ProfileCmd>(cmd);
+  GLIDER_ASSIGN_OR_RETURN(req.hz, r.U32());
+  return req;
+}
+
+// --- NodeSnapshot ------------------------------------------------------------
 
 namespace {
 
+// Drawn once, at startup.
+const std::uint64_t kProcessId = [] {
+  std::random_device rd;
+  return (std::uint64_t{rd()} << 32 | rd()) ^
+         static_cast<std::uint64_t>(
+             std::chrono::steady_clock::now().time_since_epoch().count());
+}();
+
+// Histograms as sparse (u8 bucket index, u64 count) pairs: log2 histograms
+// populate a handful of the 64 buckets, so sparse beats dense ~8x.
 void PutHistogram(BinaryWriter& w, const obs::HistogramSnapshot& h) {
   w.PutU64(h.count);
   w.PutU64(h.sum);
@@ -278,21 +310,68 @@ Result<obs::HistogramSnapshot> GetHistogram(BinaryReader& r) {
 
 }  // namespace
 
-Buffer SeriesDumpResponse::Encode() const {
+NodeSnapshot NodeSnapshot::Capture(const Metrics* metrics, bool clear) {
+  RefreshMirroredGauges(metrics);
+  NodeSnapshot snap;
+  snap.process_id = kProcessId;
+  snap.metrics = obs::MetricsRegistry::Global().Snapshot();
+  auto& sampler = obs::TimeSeriesSampler::Global();
+  snap.series = sampler.Snapshot();
+  snap.sampler_interval_ms =
+      sampler.running()
+          ? static_cast<std::uint64_t>(sampler.interval().count())
+          : 0;
+  snap.ledger = obs::ResourceLedger::Global().Snapshot();
+  if (clear) obs::ResourceLedger::Global().Clear();
+  const struct {
+    const char* name;
+    obs::SpaceSavingTopK* sketch;
+  } sketches[] = {{"keys", &obs::KeySketch()},
+                  {"methods", &obs::MethodSketch()},
+                  {"principals", &obs::PrincipalSketch()}};
+  for (const auto& [name, sketch] : sketches) {
+    snap.sketches.push_back(Sketch{name, sketch->Total(), sketch->Entries()});
+    if (clear) sketch->Clear();
+  }
+  return snap;
+}
+
+void NodeSnapshot::Merge(const NodeSnapshot& other) {
+  metrics.Merge(other.metrics);
+  ledger = obs::MergeLedgerEntries(ledger, other.ledger);
+  for (const auto& theirs : other.sketches) {
+    auto ours =
+        std::find_if(sketches.begin(), sketches.end(),
+                     [&](const Sketch& s) { return s.name == theirs.name; });
+    if (ours == sketches.end()) {
+      sketches.push_back(theirs);
+      continue;
+    }
+    ours->total += theirs.total;
+    // Merged sketches keep the union's bound: capacity = the larger side.
+    const std::size_t capacity = std::max<std::size_t>(
+        64, std::max(ours->entries.size(), theirs.entries.size()));
+    ours->entries = obs::SpaceSavingTopK::MergeEntries(
+        ours->entries, theirs.entries, capacity);
+  }
+}
+
+Buffer NodeSnapshot::Encode() const {
   BinaryWriter w;
-  w.PutU64(snapshot.generation);
-  w.PutU32(static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const auto& [name, value] : snapshot.counters) {
+  w.PutU64(process_id);
+  w.PutU64(metrics.generation);
+  w.PutU32(static_cast<std::uint32_t>(metrics.counters.size()));
+  for (const auto& [name, value] : metrics.counters) {
     w.PutString(name);
     w.PutU64(value);
   }
-  w.PutU32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const auto& [name, value] : snapshot.gauges) {
+  w.PutU32(static_cast<std::uint32_t>(metrics.gauges.size()));
+  for (const auto& [name, value] : metrics.gauges) {
     w.PutString(name);
     w.PutI64(value);
   }
-  w.PutU32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-  for (const auto& [name, hist] : snapshot.histograms) {
+  w.PutU32(static_cast<std::uint32_t>(metrics.histograms.size()));
+  for (const auto& [name, hist] : metrics.histograms) {
     w.PutString(name);
     PutHistogram(w, hist);
   }
@@ -306,57 +385,8 @@ Buffer SeriesDumpResponse::Encode() const {
     }
   }
   w.PutU64(sampler_interval_ms);
-  return std::move(w).Finish();
-}
-
-Result<SeriesDumpResponse> SeriesDumpResponse::Decode(ByteSpan payload) {
-  BinaryReader r(payload);
-  SeriesDumpResponse resp;
-  GLIDER_ASSIGN_OR_RETURN(resp.snapshot.generation, r.U64());
-  GLIDER_ASSIGN_OR_RETURN(auto n_counters, r.U32());
-  resp.snapshot.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
-    GLIDER_ASSIGN_OR_RETURN(auto value, r.U64());
-    resp.snapshot.counters.emplace_back(std::move(name), value);
-  }
-  GLIDER_ASSIGN_OR_RETURN(auto n_gauges, r.U32());
-  resp.snapshot.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
-    GLIDER_ASSIGN_OR_RETURN(auto value, r.I64());
-    resp.snapshot.gauges.emplace_back(std::move(name), value);
-  }
-  GLIDER_ASSIGN_OR_RETURN(auto n_hists, r.U32());
-  resp.snapshot.histograms.reserve(n_hists);
-  for (std::uint32_t i = 0; i < n_hists; ++i) {
-    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
-    GLIDER_ASSIGN_OR_RETURN(auto hist, GetHistogram(r));
-    resp.snapshot.histograms.emplace_back(std::move(name), hist);
-  }
-  GLIDER_ASSIGN_OR_RETURN(auto n_series, r.U32());
-  resp.series.reserve(n_series);
-  for (std::uint32_t i = 0; i < n_series; ++i) {
-    obs::SeriesData s;
-    GLIDER_ASSIGN_OR_RETURN(s.name, r.String());
-    GLIDER_ASSIGN_OR_RETURN(auto n_samples, r.U32());
-    s.samples.reserve(n_samples);
-    for (std::uint32_t j = 0; j < n_samples; ++j) {
-      obs::TimeSeries::Sample sample;
-      GLIDER_ASSIGN_OR_RETURN(sample.t_us, r.U64());
-      GLIDER_ASSIGN_OR_RETURN(sample.value, r.Double());
-      s.samples.push_back(sample);
-    }
-    resp.series.push_back(std::move(s));
-  }
-  GLIDER_ASSIGN_OR_RETURN(resp.sampler_interval_ms, r.U64());
-  return resp;
-}
-
-Buffer LedgerDumpResponse::Encode() const {
-  BinaryWriter w;
-  w.PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) {
+  w.PutU32(static_cast<std::uint32_t>(ledger.size()));
+  for (const auto& e : ledger) {
     w.PutU64(e.principal);
     w.PutString(e.op);
     w.PutU64(e.cell.cpu_us);
@@ -379,11 +409,44 @@ Buffer LedgerDumpResponse::Encode() const {
   return std::move(w).Finish();
 }
 
-Result<LedgerDumpResponse> LedgerDumpResponse::Decode(ByteSpan payload) {
+Result<NodeSnapshot> NodeSnapshot::Decode(ByteSpan payload) {
   BinaryReader r(payload);
-  LedgerDumpResponse resp;
+  NodeSnapshot snap;
+  GLIDER_ASSIGN_OR_RETURN(snap.process_id, r.U64());
+  GLIDER_ASSIGN_OR_RETURN(snap.metrics.generation, r.U64());
+  GLIDER_ASSIGN_OR_RETURN(auto n_counters, r.U32());
+  for (std::uint32_t i = 0; i < n_counters; ++i) {
+    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
+    GLIDER_ASSIGN_OR_RETURN(auto value, r.U64());
+    snap.metrics.counters.emplace_back(std::move(name), value);
+  }
+  GLIDER_ASSIGN_OR_RETURN(auto n_gauges, r.U32());
+  for (std::uint32_t i = 0; i < n_gauges; ++i) {
+    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
+    GLIDER_ASSIGN_OR_RETURN(auto value, r.I64());
+    snap.metrics.gauges.emplace_back(std::move(name), value);
+  }
+  GLIDER_ASSIGN_OR_RETURN(auto n_hists, r.U32());
+  for (std::uint32_t i = 0; i < n_hists; ++i) {
+    GLIDER_ASSIGN_OR_RETURN(auto name, r.String());
+    GLIDER_ASSIGN_OR_RETURN(auto hist, GetHistogram(r));
+    snap.metrics.histograms.emplace_back(std::move(name), hist);
+  }
+  GLIDER_ASSIGN_OR_RETURN(auto n_series, r.U32());
+  for (std::uint32_t i = 0; i < n_series; ++i) {
+    obs::SeriesData s;
+    GLIDER_ASSIGN_OR_RETURN(s.name, r.String());
+    GLIDER_ASSIGN_OR_RETURN(auto n_samples, r.U32());
+    for (std::uint32_t j = 0; j < n_samples; ++j) {
+      obs::TimeSeries::Sample sample;
+      GLIDER_ASSIGN_OR_RETURN(sample.t_us, r.U64());
+      GLIDER_ASSIGN_OR_RETURN(sample.value, r.Double());
+      s.samples.push_back(sample);
+    }
+    snap.series.push_back(std::move(s));
+  }
+  GLIDER_ASSIGN_OR_RETURN(snap.sampler_interval_ms, r.U64());
   GLIDER_ASSIGN_OR_RETURN(auto n_entries, r.U32());
-  resp.entries.reserve(n_entries);
   for (std::uint32_t i = 0; i < n_entries; ++i) {
     obs::LedgerEntry e;
     GLIDER_ASSIGN_OR_RETURN(e.principal, r.U64());
@@ -393,16 +456,14 @@ Result<LedgerDumpResponse> LedgerDumpResponse::Decode(ByteSpan payload) {
     GLIDER_ASSIGN_OR_RETURN(e.cell.bytes_in, r.U64());
     GLIDER_ASSIGN_OR_RETURN(e.cell.bytes_out, r.U64());
     GLIDER_ASSIGN_OR_RETURN(e.cell.invocations, r.U64());
-    resp.entries.push_back(std::move(e));
+    snap.ledger.push_back(std::move(e));
   }
   GLIDER_ASSIGN_OR_RETURN(auto n_sketches, r.U8());
-  resp.sketches.reserve(n_sketches);
   for (std::uint8_t i = 0; i < n_sketches; ++i) {
     Sketch sketch;
     GLIDER_ASSIGN_OR_RETURN(sketch.name, r.String());
     GLIDER_ASSIGN_OR_RETURN(sketch.total, r.U64());
     GLIDER_ASSIGN_OR_RETURN(auto n, r.U32());
-    sketch.entries.reserve(n);
     for (std::uint32_t j = 0; j < n; ++j) {
       obs::SpaceSavingTopK::Entry e;
       GLIDER_ASSIGN_OR_RETURN(e.key, r.String());
@@ -410,34 +471,9 @@ Result<LedgerDumpResponse> LedgerDumpResponse::Decode(ByteSpan payload) {
       GLIDER_ASSIGN_OR_RETURN(e.error, r.U64());
       sketch.entries.push_back(std::move(e));
     }
-    resp.sketches.push_back(std::move(sketch));
+    snap.sketches.push_back(std::move(sketch));
   }
-  return resp;
-}
-
-void LedgerDumpResponse::Merge(const LedgerDumpResponse& other) {
-  entries = obs::MergeLedgerEntries(entries, other.entries);
-  for (const auto& theirs : other.sketches) {
-    Sketch* ours = nullptr;
-    for (auto& sketch : sketches) {
-      if (sketch.name == theirs.name) {
-        ours = &sketch;
-        break;
-      }
-    }
-    if (ours == nullptr) {
-      sketches.push_back(theirs);
-      continue;
-    }
-    ours->total += theirs.total;
-    // Merged sketches keep the union's bound: capacity = the larger side.
-    const std::size_t capacity =
-        std::max<std::size_t>(64, std::max(ours->entries.size(),
-                                           theirs.entries.size()));
-    ours->entries = obs::SpaceSavingTopK::MergeEntries(ours->entries,
-                                                       theirs.entries,
-                                                       capacity);
-  }
+  return snap;
 }
 
 Buffer HeartbeatResponse::Encode() const {
@@ -455,145 +491,6 @@ Result<HeartbeatResponse> HeartbeatResponse::Decode(ByteSpan payload) {
   GLIDER_ASSIGN_OR_RETURN(resp.load_index, r.Double());
   GLIDER_ASSIGN_OR_RETURN(resp.hotspot_slots, r.U32());
   return resp;
-}
-
-bool TryHandleObs(Message& request, Responder& responder,
-                  const Metrics* metrics) {
-  switch (request.opcode) {
-    case kHeartbeat: {
-      // Cheapest possible liveness probe: no registry snapshot unless the
-      // LoadTracker's window elapsed (it caches inside min_window).
-      const obs::LoadTracker::LoadSnapshot load =
-          obs::LoadTracker::Global().Update();
-      HeartbeatResponse resp;
-      resp.server_time_us = obs::TraceNowMicros();
-      resp.load_index = load.load_index;
-      resp.hotspot_slots = static_cast<std::uint32_t>(load.hotspots.size());
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kHealthDump: {
-      responder.SendOk(
-          request, Buffer::FromString(obs::HealthBoard::Global().ToJson()));
-      return true;
-    }
-    case kEventDump: {
-      auto& journal = obs::EventJournal::Global();
-      std::string json = journal.ToJson();
-      // Payload byte 0 == 1 requests a clear-after-dump (same convention
-      // as kTraceDump/kSlowTraceDump).
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        journal.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kStatsDump: {
-      responder.SendOk(request, Buffer::FromString(StatsJson(metrics)));
-      return true;
-    }
-    case kTraceDump: {
-      auto& recorder = obs::TraceRecorder::Global();
-      std::string json = recorder.ToChromeJson();
-      // Payload byte 0 == 1 requests a clear-after-dump.
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        recorder.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kSeriesDump: {
-      RefreshMirroredGauges(metrics);
-      SeriesDumpResponse resp;
-      auto& sampler = obs::TimeSeriesSampler::Global();
-      resp.snapshot = obs::MetricsRegistry::Global().Snapshot();
-      resp.series = sampler.Snapshot();
-      resp.sampler_interval_ms = sampler.running()
-                                     ? static_cast<std::uint64_t>(
-                                           sampler.interval().count())
-                                     : 0;
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kLedgerDump: {
-      LedgerDumpResponse resp;
-      resp.entries = obs::ResourceLedger::Global().Snapshot();
-      const struct {
-        const char* name;
-        obs::SpaceSavingTopK* sketch;
-      } sketches[] = {{"keys", &obs::KeySketch()},
-                      {"methods", &obs::MethodSketch()},
-                      {"principals", &obs::PrincipalSketch()}};
-      for (const auto& [name, sketch] : sketches) {
-        LedgerDumpResponse::Sketch out;
-        out.name = name;
-        out.total = sketch->Total();
-        out.entries = sketch->Entries();
-        resp.sketches.push_back(std::move(out));
-      }
-      // Payload byte 0 == 1 requests a clear-after-dump (same convention
-      // as kTraceDump).
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        obs::ResourceLedger::Global().Clear();
-        obs::KeySketch().Clear();
-        obs::MethodSketch().Clear();
-        obs::PrincipalSketch().Clear();
-      }
-      responder.SendOk(request, resp.Encode());
-      return true;
-    }
-    case kSlowTraceDump: {
-      auto& store = obs::SlowTraceStore::Global();
-      std::string json = store.ToJson();
-      // Same clear-after-dump convention as kTraceDump.
-      if (request.payload.size() >= 1 && request.payload.data()[0] == 1) {
-        store.Clear();
-      }
-      responder.SendOk(request, Buffer::FromString(json));
-      return true;
-    }
-    case kProfileDump: {
-      auto& profiler = obs::SamplingProfiler::Global();
-      ProfileCmd cmd = ProfileCmd::kDump;
-      std::uint32_t hz = 0;
-      if (request.payload.size() >= 1) {
-        cmd = static_cast<ProfileCmd>(request.payload.data()[0]);
-        if (cmd == ProfileCmd::kStart && request.payload.size() >= 5) {
-          std::memcpy(&hz, request.payload.data() + 1, sizeof(hz));
-        }
-      }
-      switch (cmd) {
-        case ProfileCmd::kStart: {
-          obs::SamplingProfiler::Options opts;
-          if (hz != 0) opts.hz = static_cast<int>(hz);
-          const Status s = profiler.Start(opts);
-          // Byte 1 = "this request started the profiler"; kAlreadyExists
-          // maps to 0 so the caller knows not to stop someone else's run.
-          Buffer reply = Buffer::FromString(std::string(1, s.ok() ? 1 : 0));
-          if (!s.ok() && s.code() != StatusCode::kAlreadyExists) {
-            responder.SendError(request, s);
-          } else {
-            responder.SendOk(request, std::move(reply));
-          }
-          return true;
-        }
-        case ProfileCmd::kStop:
-          profiler.Stop();
-          responder.SendOk(request, Buffer());
-          return true;
-        case ProfileCmd::kDumpClear:
-        case ProfileCmd::kDump:
-        default: {
-          std::string folded =
-              profiler.CollectFolded(cmd == ProfileCmd::kDumpClear);
-          responder.SendOk(request, Buffer::FromString(std::move(folded)));
-          return true;
-        }
-      }
-    }
-    default:
-      return false;
-  }
 }
 
 }  // namespace glider::net

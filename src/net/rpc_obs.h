@@ -4,8 +4,9 @@
 //     ("rpc.client.<transport>.<op>_us" / "rpc.server.<transport>.<op>_us"),
 //   * trace-context stamping of outgoing requests and installation of the
 //     decoded context around server-side handling,
-//   * the management opcodes kStatsDump/kTraceDump answered uniformly by
-//     every server role (storage, metadata, active) via TryHandleObs.
+//   * the management opcodes every server role (storage, metadata, active,
+//     S3) answers through its ServiceRouter, with their typed requests and
+//     the binary, mergeable NodeSnapshot.
 //
 // Everything short-circuits to a no-op when obs::Enabled() is false, so the
 // disabled-mode RPC hot path costs one relaxed atomic load.
@@ -27,27 +28,55 @@ class Metrics;
 
 namespace glider::net {
 
-// Management opcodes, outside every service's protocol range.
-inline constexpr std::uint16_t kStatsDump = 990;      // -> MetricsRegistry JSON
-inline constexpr std::uint16_t kTraceDump = 991;      // -> Chrome trace JSON
-inline constexpr std::uint16_t kSeriesDump = 992;     // -> SeriesDumpResponse
-inline constexpr std::uint16_t kSlowTraceDump = 993;  // -> slow-trace JSON
-inline constexpr std::uint16_t kProfileDump = 994;    // -> collapsed stacks
-inline constexpr std::uint16_t kHeartbeat = 995;      // -> HeartbeatResponse
-inline constexpr std::uint16_t kHealthDump = 996;     // -> HealthBoard JSON
-inline constexpr std::uint16_t kEventDump = 997;      // -> EventJournal JSON
-inline constexpr std::uint16_t kLedgerDump = 998;     // -> LedgerDumpResponse
+// Management opcodes. ServiceRouter routes them for every service, in the
+// table slots above every service protocol (1-54). Request -> reply:
+//   kNodeSnapshot   DumpRequest    -> NodeSnapshot
+//   kTraceDump      DumpRequest    -> Chrome trace JSON
+//   kSlowTraceDump  DumpRequest    -> slow-trace JSON
+//   kProfileDump    ProfileRequest -> see ProfileCmd
+//   kHeartbeat      EmptyRequest   -> HeartbeatResponse
+//   kHealthDump     EmptyRequest   -> HealthBoard JSON
+//   kEventDump      DumpRequest    -> EventJournal JSON
+inline constexpr std::uint16_t kNodeSnapshot = 56;
+inline constexpr std::uint16_t kTraceDump = 57;
+inline constexpr std::uint16_t kSlowTraceDump = 58;
+inline constexpr std::uint16_t kProfileDump = 59;
+inline constexpr std::uint16_t kHeartbeat = 60;
+inline constexpr std::uint16_t kHealthDump = 61;
+inline constexpr std::uint16_t kEventDump = 62;
 
-// kProfileDump request payload: empty = dump collapsed stacks; otherwise a
-// u8 command from this enum (kStart is followed by a u32 hz, 0 = default).
-// kStart replies with one byte: 1 = started by this request, 0 = a profiler
-// was already running (callers use it to avoid stopping someone else's
-// session). kDump/kDumpClear reply with the folded text, kStop with empty.
+// Management ops stay off the resource ledger, so monitoring polls do not
+// pollute the attribution they read.
+constexpr bool IsManagementOp(std::uint16_t opcode) {
+  return opcode >= kNodeSnapshot && opcode <= kEventDump;
+}
+
+// Request of the dump ops: `clear` empties what was dumped once the reply
+// is taken (kNodeSnapshot clears the ledger and the sketches).
+struct DumpRequest {
+  bool clear = false;
+
+  Buffer Encode() const;
+  static Result<DumpRequest> Decode(ByteSpan payload);
+};
+
+// kProfileDump commands. kStart (at `hz`, 0 = default) replies with one
+// byte: 1 = started by this request, 0 = a profiler was already running
+// (callers use it to avoid stopping someone else's session). kDump and
+// kDumpClear reply with the folded text, kStop with an empty payload.
 enum class ProfileCmd : std::uint8_t {
   kDump = 0,
   kDumpClear = 1,
   kStart = 2,
   kStop = 3,
+};
+
+struct ProfileRequest {
+  ProfileCmd cmd = ProfileCmd::kDump;
+  std::uint32_t hz = 0;
+
+  Buffer Encode() const;
+  static Result<ProfileRequest> Decode(ByteSpan payload);
 };
 
 // Human-readable opcode name ("Lookup", "StreamWrite", ...). The table
@@ -88,59 +117,49 @@ struct ClientCallTrace {
 void HandleWithObs(Service& service, Message request, Responder responder,
                    int transport_index);
 
-// Handles the management opcodes; returns true when the request was
-// consumed. `metrics` (may be null) contributes the link-class counters to
-// the stats snapshot.
-bool TryHandleObs(Message& request, Responder& responder,
-                  const Metrics* metrics);
-
-// The stats JSON served by kStatsDump: MetricsRegistry::ToJson() after
-// mirroring `metrics` (nullable) and the data-plane/buffer-pool counters.
-std::string StatsJson(const Metrics* metrics);
-
 // Republishes `metrics` (nullable) and the data-plane counters into the
-// global registry without rendering anything — shared by the JSON and
-// binary dump paths so both see identical gauges.
+// global registry without rendering anything: run before every node
+// snapshot and every /metrics scrape, so both see identical gauges.
 void RefreshMirroredGauges(const Metrics* metrics);
 
-// kSeriesDump payload: the full registry snapshot (binary, mergeable — the
-// JSON stats dump has no bucket counts) plus every sampler ring. Histograms
-// travel as sparse (bucket index, count) pairs; log2 histograms are mostly
-// empty so this keeps cluster polling cheap.
-struct SeriesDumpResponse {
-  obs::MetricsSnapshot snapshot;
-  std::vector<obs::SeriesData> series;
-  std::uint64_t sampler_interval_ms = 0;  // 0 = sampler not running
-
-  Buffer Encode() const;
-  static Result<SeriesDumpResponse> Decode(ByteSpan payload);
-};
-
-// kLedgerDump payload: the node's resource-attribution state — the full
-// (principal, op) ledger plus the heavy-hitter sketches (object keys,
-// action methods, principals). Request payload byte 0 == 1 requests a
-// clear-after-dump (same convention as kTraceDump). Merge() is the exact
-// cluster-wide merge used by ClusterMonitor: ledger cells sum per key;
-// sketches merge under the space-saving rule.
-struct LedgerDumpResponse {
+// kNodeSnapshot reply: one process's observable state in one binary,
+// mergeable record. Histograms travel as sparse (bucket index, count)
+// pairs; log2 histograms are mostly empty, so cluster polling stays cheap.
+struct NodeSnapshot {
   struct Sketch {
-    std::string name;  // "keys" | "methods" | "principals"
+    std::string name;         // "keys" | "methods" | "principals"
     std::uint64_t total = 0;  // stream weight the sketch observed
     std::vector<obs::SpaceSavingTopK::Entry> entries;
   };
 
-  std::vector<obs::LedgerEntry> entries;
+  // Drawn once per process. Servers in one process share every global
+  // below, so a cluster merge takes one snapshot per id.
+  std::uint64_t process_id = 0;
+  obs::MetricsSnapshot metrics;
+  std::vector<obs::SeriesData> series;
+  std::uint64_t sampler_interval_ms = 0;  // 0 = sampler not running
+  std::vector<obs::LedgerEntry> ledger;
   std::vector<Sketch> sketches;
 
+  // This process's snapshot, after RefreshMirroredGauges(metrics).
+  // `clear` then empties the ledger and the sketches.
+  static NodeSnapshot Capture(const Metrics* metrics, bool clear);
+
+  // Adds another process's snapshot: counters, gauges and ledger cells
+  // sum, histograms merge bucket-wise (percentiles over the merged buckets
+  // are exact cluster percentiles), sketches merge under the space-saving
+  // rule. The process id and the sampler series describe one process and
+  // are left as they are.
+  void Merge(const NodeSnapshot& other);
+
   Buffer Encode() const;
-  static Result<LedgerDumpResponse> Decode(ByteSpan payload);
-  void Merge(const LedgerDumpResponse& other);
+  static Result<NodeSnapshot> Decode(ByteSpan payload);
 };
 
 // kHeartbeat reply: a liveness proof that also piggybacks the node's
 // self-computed load report (the handler runs LoadTracker::Update), so a
 // health poll of an otherwise idle link costs one tiny frame and still
-// refreshes the load/hotspot picture. Request payload is empty.
+// refreshes the load/hotspot picture. The request is an EmptyRequest.
 struct HeartbeatResponse {
   std::uint64_t server_time_us = 0;  // peer's TraceNowMicros at reply time
   double load_index = 0.0;

@@ -9,7 +9,9 @@
 //       [this](const LookupRequest& req) { return DoLookup(req); });
 //
 // The router owns the shared request plumbing:
-//   * the management opcodes (kStatsDump/kTraceDump) via TryHandleObs,
+//   * the management routes (rpc_obs.h: node snapshot, trace and profile
+//     dumps, heartbeat, health board, event journal), registered by the
+//     base in the same table as every service opcode,
 //   * request decoding — preferring a zero-copy Decode(const Buffer&)
 //     overload when the request type provides one,
 //   * response encoding — handlers return Result<Resp> for any Resp with
@@ -68,7 +70,7 @@ Buffer EncodePayload(Resp&& resp) {
 class ServiceRouter : public Service {
  public:
   // `service_name` labels unroutable-opcode errors and logs. `metrics`
-  // (nullable) feeds the management stats opcodes answered before dispatch.
+  // (nullable) contributes the link-class counters to the node snapshot.
   explicit ServiceRouter(std::string service_name,
                          const Metrics* metrics = nullptr);
 
@@ -129,9 +131,10 @@ class ServiceRouter : public Service {
 
   static Status DecodeError(const char* op_name, const Status& status);
   void RegisterRaw(std::uint16_t opcode, const char* op_name, RawHandler fn);
+  void RouteManagementOps();
 
-  // All service protocol opcodes live below 64; the 99x management opcodes
-  // are answered by TryHandleObs before the table is consulted.
+  // Every opcode lives below 64: the service protocols at 1-54, the
+  // management ops at 56-62.
   static constexpr std::size_t kMaxOpcodes = 64;
   struct Entry {
     const char* name = nullptr;

@@ -35,8 +35,9 @@ MetadataServer::MetadataServer(net::Transport* transport,
       [this](const SetSizeRequest& req) { return DoSetSize(req); });
   Route<PathRequest>(kList, "List",
                      [this](const PathRequest& req) { return DoList(req); });
-  Route<EmptyRequest>(kListServers, "ListServers",
-                      [this](const EmptyRequest&) { return DoListServers(); });
+  Route<net::EmptyRequest>(
+      kListServers, "ListServers",
+      [this](const net::EmptyRequest&) { return DoListServers(); });
 }
 
 MetadataServer::~MetadataServer() = default;
@@ -116,7 +117,7 @@ Result<NodeInfoResponse> MetadataServer::DoLookup(const PathRequest& req) {
   obs::Span span("meta", "meta.lookup");
   const std::uint64_t start_us = observed ? obs::TraceNowMicros() : 0;
   // Hot-key attribution: every looked-up path feeds the bounded-memory
-  // heavy-hitter sketch served by kLedgerDump.
+  // heavy-hitter sketch carried by the node snapshot.
   if (observed) obs::KeySketch().Offer(req.path);
   NodeInfoResponse resp;
   {

@@ -274,11 +274,6 @@ struct ListResponse {
   }
 };
 
-struct EmptyRequest {  // kListServers
-  Buffer Encode() const { return {}; }
-  static Result<EmptyRequest> Decode(ByteSpan) { return EmptyRequest{}; }
-};
-
 // Response to kListServers: every server registered with the metadata
 // server, so monitoring tools (ClusterMonitor, glider_top) can discover
 // the whole cluster from the one address they are given. The metadata

@@ -57,7 +57,7 @@ struct ClusterOptions {
 
   // Nonzero starts the process-wide TimeSeriesSampler at this cadence (and
   // enables tracing so histograms populate); the cluster stops it on
-  // teardown. Drives kSeriesDump / glider_top against a MiniCluster.
+  // teardown. Drives kNodeSnapshot / glider_top against a MiniCluster.
   std::chrono::milliseconds sample_interval{0};
 
   // Nonzero starts the process-wide SamplingProfiler at this rate (and

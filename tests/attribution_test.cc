@@ -21,6 +21,7 @@
 #include "common/trace.h"
 #include "glider/client/action_node.h"
 #include "glider/cluster_monitor.h"
+#include "net/rpc_client.h"
 #include "net/rpc_obs.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
@@ -400,7 +401,7 @@ TEST(EmptyHistogramTest, PercentilesAreZeroAndExpositionIsClean) {
   EXPECT_EQ(snap.Mean(), 0.0);
 
   // Neither exposition format leaks NaN or inf for the empty family.
-  const std::string json = registry.ToJson();
+  const std::string json = obs::SnapshotJson(registry.Snapshot());
   EXPECT_FALSE(Contains(json, "nan"));
   EXPECT_FALSE(Contains(json, "inf"));
   const std::string prom = obs::PrometheusText(registry);
@@ -437,12 +438,26 @@ TEST(PrometheusHelpTest, EveryFamilyGetsHelpBeforeType) {
   EXPECT_TRUE(om.size() >= 6 && om.compare(om.size() - 6, 6, "# EOF\n") == 0);
 }
 
-// ---- Ledger dump wire format ------------------------------------------------
+// ---- Node snapshot wire format ---------------------------------------------
 
-TEST(LedgerDumpTest, EncodeDecodeRoundTripAndMerge) {
-  net::LedgerDumpResponse resp;
-  resp.entries = {MakeEntry("alpha", "op.x", 10), MakeEntry("beta", "op.y", 5)};
-  net::LedgerDumpResponse::Sketch sketch;
+TEST(NodeSnapshotTest, EncodeDecodeRoundTripAndMerge) {
+  net::NodeSnapshot snap;
+  snap.process_id = 7;
+  snap.metrics.counters = {{"ops", 3}};
+  snap.metrics.gauges = {{"depth", -2}};
+  obs::HistogramSnapshot hist;
+  hist.buckets[4] = 2;
+  hist.exemplar_trace[4] = 0xabc;
+  hist.exemplar_value[4] = 9;
+  hist.count = 2;
+  hist.sum = 20;
+  hist.min = 9;
+  hist.max = 11;
+  snap.metrics.histograms = {{"lat_us", hist}};
+  snap.series = {{"ops.rate", {{100, 1.5}, {200, 2.5}}}};
+  snap.sampler_interval_ms = 20;
+  snap.ledger = {MakeEntry("alpha", "op.x", 10), MakeEntry("beta", "op.y", 5)};
+  net::NodeSnapshot::Sketch sketch;
   sketch.name = "keys";
   sketch.total = 15;
   SpaceSavingTopK::Entry e;
@@ -450,28 +465,44 @@ TEST(LedgerDumpTest, EncodeDecodeRoundTripAndMerge) {
   e.count = 15;
   e.error = 0;
   sketch.entries.push_back(e);
-  resp.sketches.push_back(sketch);
+  snap.sketches.push_back(sketch);
 
-  const Buffer wire = resp.Encode();
-  auto decoded = net::LedgerDumpResponse::Decode(wire.span());
+  const Buffer wire = snap.Encode();
+  auto decoded = net::NodeSnapshot::Decode(wire.span());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->entries.size(), 2u);
-  EXPECT_EQ(decoded->entries[0].principal, PrincipalFromName("alpha"));
-  EXPECT_EQ(decoded->entries[0].op, "op.x");
-  EXPECT_EQ(decoded->entries[0].cell.cpu_us, 10u);
+  EXPECT_EQ(decoded->process_id, 7u);
+  ASSERT_NE(decoded->metrics.FindCounter("ops"), nullptr);
+  EXPECT_EQ(*decoded->metrics.FindCounter("ops"), 3u);
+  ASSERT_NE(decoded->metrics.FindGauge("depth"), nullptr);
+  EXPECT_EQ(*decoded->metrics.FindGauge("depth"), -2);
+  const obs::HistogramSnapshot* lat = decoded->metrics.FindHistogram("lat_us");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count, 2u);
+  EXPECT_EQ(lat->buckets[4], 2u);
+  EXPECT_EQ(lat->exemplar_trace[4], 0xabcu);
+  EXPECT_EQ(lat->max, 11u);
+  ASSERT_EQ(decoded->series.size(), 1u);
+  EXPECT_EQ(decoded->series[0].name, "ops.rate");
+  ASSERT_EQ(decoded->series[0].samples.size(), 2u);
+  EXPECT_EQ(decoded->series[0].samples[1].value, 2.5);
+  EXPECT_EQ(decoded->sampler_interval_ms, 20u);
+  ASSERT_EQ(decoded->ledger.size(), 2u);
+  EXPECT_EQ(decoded->ledger[0].principal, PrincipalFromName("alpha"));
+  EXPECT_EQ(decoded->ledger[0].op, "op.x");
+  EXPECT_EQ(decoded->ledger[0].cell.cpu_us, 10u);
   ASSERT_EQ(decoded->sketches.size(), 1u);
   EXPECT_EQ(decoded->sketches[0].name, "keys");
   EXPECT_EQ(decoded->sketches[0].total, 15u);
   ASSERT_EQ(decoded->sketches[0].entries.size(), 1u);
   EXPECT_EQ(decoded->sketches[0].entries[0].key, "/hot/path");
 
-  // Merging two decoded dumps sums cells and sketch totals. (Merged
-  // entries come back sorted by packed (principal, op) key, not insertion
-  // order, so look the cells up by principal.)
-  net::LedgerDumpResponse merged = *decoded;
+  // Merging two decoded snapshots sums ledger cells and sketch totals.
+  // (Merged entries come back sorted by packed (principal, op) key, not
+  // insertion order, so look the cells up by principal.)
+  net::NodeSnapshot merged = *decoded;
   merged.Merge(*decoded);
-  ASSERT_EQ(merged.entries.size(), 2u);
-  for (const auto& entry : merged.entries) {
+  ASSERT_EQ(merged.ledger.size(), 2u);
+  for (const auto& entry : merged.ledger) {
     if (entry.principal == PrincipalFromName("alpha")) {
       EXPECT_EQ(entry.cell.cpu_us, 20u);
     } else {
@@ -481,11 +512,15 @@ TEST(LedgerDumpTest, EncodeDecodeRoundTripAndMerge) {
   }
   EXPECT_EQ(merged.sketches[0].total, 30u);
   EXPECT_EQ(merged.sketches[0].entries[0].count, 30u);
+  EXPECT_EQ(*merged.metrics.FindCounter("ops"), 6u);
+  EXPECT_EQ(merged.metrics.FindHistogram("lat_us")->count, 4u);
 
   // Truncated payloads fail cleanly instead of reading out of bounds.
   Buffer truncated;
   truncated.Resize(3);
-  EXPECT_FALSE(net::LedgerDumpResponse::Decode(truncated.span()).ok());
+  EXPECT_FALSE(net::NodeSnapshot::Decode(truncated.span()).ok());
+  EXPECT_FALSE(
+      net::NodeSnapshot::Decode(ByteSpan(wire.data(), wire.size() - 1)).ok());
 }
 
 // ---- Two-tenant end-to-end --------------------------------------------------
@@ -604,26 +639,24 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
   // drains every read stream).
   EXPECT_EQ(stream_bytes_in, slot_bytes_in + slot_bytes_out);
 
-  // --- The wire: one kLedgerDump against the metadata address returns
-  // exactly the process-global snapshot (same process, mgmt opcodes are
+  // --- The wire: one kNodeSnapshot against the metadata address carries
+  // exactly the process-global ledger (same process, mgmt opcodes are
   // never charged, so nothing moves between dump and local snapshot).
   {
     auto conn = (*cluster)->transport().Connect((*cluster)->metadata_address(),
                                                 nullptr);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-    auto raw = (*conn)->CallSync(net::kLedgerDump, Buffer{});
-    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-    auto dump =
-        net::LedgerDumpResponse::Decode(ByteSpan(raw->data(), raw->size()));
+    auto dump = net::Call<net::NodeSnapshot>(**conn, net::kNodeSnapshot,
+                                             net::DumpRequest{});
     ASSERT_TRUE(dump.ok()) << dump.status().ToString();
     const auto local = ResourceLedger::Global().Snapshot();
-    ASSERT_EQ(dump->entries.size(), local.size());
+    ASSERT_EQ(dump->ledger.size(), local.size());
     for (std::size_t i = 0; i < local.size(); ++i) {
-      EXPECT_EQ(dump->entries[i].principal, local[i].principal);
-      EXPECT_EQ(dump->entries[i].op, local[i].op);
-      EXPECT_EQ(dump->entries[i].cell.cpu_us, local[i].cell.cpu_us);
-      EXPECT_EQ(dump->entries[i].cell.bytes_in, local[i].cell.bytes_in);
-      EXPECT_EQ(dump->entries[i].cell.invocations,
+      EXPECT_EQ(dump->ledger[i].principal, local[i].principal);
+      EXPECT_EQ(dump->ledger[i].op, local[i].op);
+      EXPECT_EQ(dump->ledger[i].cell.cpu_us, local[i].cell.cpu_us);
+      EXPECT_EQ(dump->ledger[i].cell.bytes_in, local[i].cell.bytes_in);
+      EXPECT_EQ(dump->ledger[i].cell.invocations,
                 local[i].cell.invocations);
     }
     // The dump carries all three sketches; methods saw the action methods
@@ -643,15 +676,38 @@ TEST(AttributionE2ETest, TwoTenantsBillSeparatelyAndSumToSlotAccounting) {
     }
   }
 
-  // --- The cluster poll path works end to end (MiniCluster's servers share
-  // one ledger, so the merged totals are multiples of the local ones; we
-  // assert reachability and presence, not exact sums, here).
+  // --- The cluster poll merges one snapshot per process. MiniCluster's
+  // servers share this process, so the merged ledger is the local one.
+  // The poll's own discovery (kListServers) is charged once its reply is
+  // sent, so that one cell may or may not have landed before the snapshot;
+  // every other cell must match exactly.
   ClusterMonitor monitor(&(*cluster)->transport(),
                          (*cluster)->metadata_address());
-  auto polled = monitor.PollLedgers();
+  auto polled = monitor.Poll();
   ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  auto without_discovery = [](std::vector<LedgerEntry> entries) {
+    std::erase_if(entries, [](const LedgerEntry& entry) {
+      return entry.op == "rpc.ListServers";
+    });
+    return entries;
+  };
+  {
+    const auto merged = without_discovery(polled->merged.ledger);
+    const auto local = without_discovery(ResourceLedger::Global().Snapshot());
+    ASSERT_EQ(merged.size(), local.size());
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      EXPECT_EQ(merged[i].principal, local[i].principal);
+      EXPECT_EQ(merged[i].op, local[i].op);
+      EXPECT_EQ(merged[i].cell.cpu_us, local[i].cell.cpu_us) << local[i].op;
+      EXPECT_EQ(merged[i].cell.queue_us, local[i].cell.queue_us);
+      EXPECT_EQ(merged[i].cell.bytes_in, local[i].cell.bytes_in);
+      EXPECT_EQ(merged[i].cell.bytes_out, local[i].cell.bytes_out);
+      EXPECT_EQ(merged[i].cell.invocations, local[i].cell.invocations)
+          << local[i].op;
+    }
+  }
   std::set<obs::PrincipalId> polled_principals;
-  for (const auto& entry : polled->entries) {
+  for (const auto& entry : polled->merged.ledger) {
     polled_principals.insert(entry.principal);
   }
   EXPECT_TRUE(polled_principals.count(alpha));

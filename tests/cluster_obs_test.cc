@@ -2,8 +2,9 @@
 // observability"): Prometheus text exposition conformance, time-series ring
 // wraparound and rate computation, the MetricsRegistry::ResetAll() vs
 // concurrent-sampler regression, slow-trace retention (bounds + adaptive
-// threshold), the /metrics HTTP responder, and an end-to-end ClusterMonitor
-// merge over a MiniCluster.
+// threshold), the /metrics HTTP responder, the management routes every
+// server answers, and an end-to-end ClusterMonitor merge over a
+// MiniCluster.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +23,10 @@
 #include "common/prometheus.h"
 #include "common/time_series.h"
 #include "common/trace.h"
+#include "faas/s3_service.h"
 #include "glider/cluster_monitor.h"
 #include "net/http_metrics.h"
+#include "net/rpc_client.h"
 #include "nodekernel/client/store_client.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
@@ -539,12 +543,95 @@ TEST(HttpMetricsTest, MetricsEndpointAndNotFound) {
 
 // ---- ClusterMonitor over a MiniCluster --------------------------------------
 
+// ---- Management routes -----------------------------------------------------
+
+// Histograms, spans and ledger ops are named by RpcOpName; it must agree
+// with the name each router registered, for every routed opcode.
+TEST(ManagementRoutesTest, RpcOpNameMatchesEveryRouter) {
+  workloads::RegisterWorkloadActions();
+  auto cluster = testing::MiniCluster::Start(testing::ClusterOptions{});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  faas::S3Like store(faas::S3Like::Options{}, nullptr);
+  faas::S3Service s3(&store, nullptr);
+  const std::vector<const net::ServiceRouter*> routers = {
+      &(*cluster)->metadata(), &(*cluster)->data(), &(*cluster)->active(),
+      &s3};
+  for (const net::ServiceRouter* router : routers) {
+    int service_ops = 0;
+    int management_ops = 0;
+    for (std::uint16_t op = 0; op < 64; ++op) {
+      const char* name = router->OpName(op);
+      if (name == nullptr) continue;
+      ++(net::IsManagementOp(op) ? management_ops : service_ops);
+      EXPECT_STREQ(net::RpcOpName(op), name)
+          << router->service_name() << " opcode " << op;
+    }
+    EXPECT_GT(service_ops, 0) << router->service_name();
+    EXPECT_EQ(management_ops, 7) << router->service_name();
+  }
+}
+
+TEST(ManagementRoutesTest, EachOpRecordsItsOwnHistogram) {
+  obs::SetEnabled(true);
+  testing::ClusterOptions options;
+  options.use_tcp = true;
+  options.active_servers = 0;
+  auto cluster = testing::MiniCluster::Start(options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto count = [](const std::string& name) {
+    return MetricsRegistry::Global().GetHistogram(name).Count();
+  };
+  const char* const kNames[] = {
+      "rpc.client.tcp.Heartbeat_us", "rpc.client.tcp.NodeSnapshot_us",
+      "rpc.client.tcp.OpOther_us",   "rpc.server.tcp.Heartbeat_us",
+      "rpc.server.tcp.NodeSnapshot_us", "rpc.server.tcp.OpOther_us"};
+  std::map<std::string, std::uint64_t> before;
+  for (const char* name : kNames) before[name] = count(name);
+
+  auto conn = (*cluster)->transport().Connect((*cluster)->metadata_address(),
+                                              nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(net::Call<net::HeartbeatResponse>(**conn, net::kHeartbeat,
+                                                net::EmptyRequest{})
+                  .ok());
+  ASSERT_TRUE(net::Call<net::NodeSnapshot>(**conn, net::kNodeSnapshot,
+                                           net::DumpRequest{})
+                  .ok());
+
+  // The client records before its call returns; the server records once
+  // its handler returned, which may trail the reply.
+  EXPECT_EQ(count("rpc.client.tcp.Heartbeat_us"),
+            before["rpc.client.tcp.Heartbeat_us"] + 1);
+  EXPECT_EQ(count("rpc.client.tcp.NodeSnapshot_us"),
+            before["rpc.client.tcp.NodeSnapshot_us"] + 1);
+  for (int i = 0; i < 200; ++i) {
+    if (count("rpc.server.tcp.NodeSnapshot_us") >
+            before["rpc.server.tcp.NodeSnapshot_us"] &&
+        count("rpc.server.tcp.Heartbeat_us") >
+            before["rpc.server.tcp.Heartbeat_us"]) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(count("rpc.server.tcp.Heartbeat_us"),
+            before["rpc.server.tcp.Heartbeat_us"] + 1);
+  EXPECT_EQ(count("rpc.server.tcp.NodeSnapshot_us"),
+            before["rpc.server.tcp.NodeSnapshot_us"] + 1);
+  EXPECT_EQ(count("rpc.client.tcp.OpOther_us"),
+            before["rpc.client.tcp.OpOther_us"]);
+  EXPECT_EQ(count("rpc.server.tcp.OpOther_us"),
+            before["rpc.server.tcp.OpOther_us"]);
+  obs::SetEnabled(false);
+}
+
+// ---- ClusterMonitor over a MiniCluster --------------------------------------
+
 TEST(ClusterMonitorTest, MergeSumsCountersAndHistograms) {
-  obs::MetricsSnapshot a, b;
-  a.counters = {{"ops", 10}, {"only_a", 1}};
-  b.counters = {{"ops", 32}};
-  a.gauges = {{"depth", 2}};
-  b.gauges = {{"depth", 3}};
+  net::NodeSnapshot a, b;
+  a.metrics.counters = {{"ops", 10}, {"only_a", 1}};
+  b.metrics.counters = {{"ops", 32}};
+  a.metrics.gauges = {{"depth", 2}};
+  b.metrics.gauges = {{"depth", 3}};
   obs::HistogramSnapshot ha, hb;
   ha.buckets[4] = 5;  // five events in [8, 15]
   ha.count = 5;
@@ -556,18 +643,24 @@ TEST(ClusterMonitorTest, MergeSumsCountersAndHistograms) {
   hb.sum = 600;
   hb.min = 600;
   hb.max = 600;
-  a.histograms = {{"lat", ha}};
-  b.histograms = {{"lat", hb}};
+  a.metrics.histograms = {{"lat", ha}};
+  b.metrics.histograms = {{"lat", hb}};
+  b.series = {{"ops.rate", {{1, 2.0}}}};
 
-  const auto merged = ClusterMonitor::Merge({&a, &b});
-  ASSERT_EQ(merged.counters.size(), 2u);
-  EXPECT_EQ(merged.counters[0].first, "ops");
-  EXPECT_EQ(merged.counters[0].second, 42u);
-  EXPECT_EQ(merged.counters[1].first, "only_a");
-  ASSERT_EQ(merged.gauges.size(), 1u);
-  EXPECT_EQ(merged.gauges[0].second, 5);
-  ASSERT_EQ(merged.histograms.size(), 1u);
-  const auto& h = merged.histograms[0].second;
+  net::NodeSnapshot merged;
+  merged.Merge(a);
+  merged.Merge(b);
+  // Process id and series describe one process; the merge leaves them.
+  EXPECT_EQ(merged.process_id, 0u);
+  EXPECT_TRUE(merged.series.empty());
+  ASSERT_EQ(merged.metrics.counters.size(), 2u);
+  EXPECT_EQ(merged.metrics.counters[0].first, "ops");
+  EXPECT_EQ(merged.metrics.counters[0].second, 42u);
+  EXPECT_EQ(merged.metrics.counters[1].first, "only_a");
+  ASSERT_EQ(merged.metrics.gauges.size(), 1u);
+  EXPECT_EQ(merged.metrics.gauges[0].second, 5);
+  ASSERT_EQ(merged.metrics.histograms.size(), 1u);
+  const auto& h = merged.metrics.histograms[0].second;
   EXPECT_EQ(h.count, 6u);
   EXPECT_EQ(h.sum, 650u);
   // Percentiles over merged buckets are cluster-exact: p50 in [8, 15],
@@ -604,20 +697,28 @@ TEST(ClusterMonitorTest, PollsAndMergesLiveMiniCluster) {
   auto sample = monitor.Poll();
   ASSERT_TRUE(sample.ok()) << sample.status().ToString();
 
-  // metadata + 2 data + 1 active = 4 targets discovered...
+  // metadata + 2 data + 1 active = 4 targets discovered, each polled...
   ASSERT_EQ(sample->servers.size(), 4u);
   EXPECT_TRUE(sample->servers[0].is_metadata);
-  // ...but MiniCluster runs in one process: the metadata poll succeeds and
-  // the rest either succeed or are deduped, never hard-fail.
-  std::size_t polled = 0;
   for (const auto& server : sample->servers) {
-    if (server.status.ok()) ++polled;
+    ASSERT_TRUE(server.status.ok()) << server.server.address << ": "
+                                    << server.status.ToString();
+    EXPECT_EQ(server.snapshot.process_id,
+              sample->servers[0].snapshot.process_id);
   }
-  ASSERT_GE(polled, 1u);
+  // ...but MiniCluster runs in one process, so the merge counts it once: a
+  // metric moved by the traffic above (and not by the poll) equals the
+  // local registry's value.
+  const obs::HistogramSnapshot* lookups =
+      sample->merged.metrics.FindHistogram("meta.lookup_us");
+  ASSERT_NE(lookups, nullptr);
+  EXPECT_GT(lookups->count, 0u);
+  EXPECT_EQ(lookups->count,
+            MetricsRegistry::Global().GetHistogram("meta.lookup_us").Count());
 
   // The merged snapshot saw the RPC server histograms from the traffic.
   bool saw_rpc_hist = false;
-  for (const auto& [name, hist] : sample->merged.histograms) {
+  for (const auto& [name, hist] : sample->merged.metrics.histograms) {
     if (name.rfind("rpc.server.", 0) == 0 && hist.count > 0) {
       saw_rpc_hist = true;
     }
@@ -627,9 +728,8 @@ TEST(ClusterMonitorTest, PollsAndMergesLiveMiniCluster) {
   // The sampler produced series, and the dump carried its interval.
   bool saw_series = false;
   for (const auto& server : sample->servers) {
-    if (!server.status.ok()) continue;
-    EXPECT_EQ(server.dump.sampler_interval_ms, 20u);
-    if (!server.dump.series.empty()) saw_series = true;
+    EXPECT_EQ(server.snapshot.sampler_interval_ms, 20u);
+    if (!server.snapshot.series.empty()) saw_series = true;
   }
   EXPECT_TRUE(saw_series);
 

@@ -416,12 +416,13 @@ TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
 
   // kHeartbeat: cheap probe answered by any server.
   auto beat = net::Call<net::HeartbeatResponse>(**conn, net::kHeartbeat,
-                                                Buffer{});
+                                                net::EmptyRequest{});
   ASSERT_TRUE(beat.ok()) << beat.status().ToString();
   EXPECT_GT(beat->server_time_us, 0u);
 
   // kHealthDump: valid board JSON even when no monitor runs here.
-  auto health = (*conn)->CallSync(net::kHealthDump, Buffer{});
+  auto health =
+      net::Call<Buffer>(**conn, net::kHealthDump, net::EmptyRequest{});
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   const std::string health_json(
       reinterpret_cast<const char*>(health->data()), health->size());
@@ -431,10 +432,8 @@ TEST(HealthRpcTest, HeartbeatHealthAndEventDumps) {
   // kEventDump with the clear flag drains the journal.
   EventJournal::Global().Clear();
   obs::JournalEvent(EventType::kPoolExhausted, "pool", "test", 256);
-  Buffer clear;
-  clear.Resize(1);
-  clear.mutable_span()[0] = 1;
-  auto events = (*conn)->CallSync(net::kEventDump, std::move(clear));
+  auto events = net::Call<Buffer>(**conn, net::kEventDump,
+                                 net::DumpRequest{/*clear=*/true});
   ASSERT_TRUE(events.ok()) << events.status().ToString();
   const std::string events_json(
       reinterpret_cast<const char*>(events->data()), events->size());

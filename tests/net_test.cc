@@ -609,11 +609,26 @@ TEST_F(ServiceRouterTest, OpNameLookup) {
   EXPECT_EQ(service_->OpName(63), nullptr);
 }
 
-TEST_F(ServiceRouterTest, ObsOpcodesAnsweredBeforeDispatch) {
-  // kStatsDump is handled by the router's shared obs interception even
-  // though MathService never registered it.
-  auto result = conn_->CallSync(kStatsDump, Buffer{});
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
+TEST_F(ServiceRouterTest, ManagementOpsAreRoutedByTheBase) {
+  // MathService registered none of them: the ServiceRouter base routes the
+  // management ops in the same table, through the same decode path.
+  int management_ops = 0;
+  for (std::uint16_t op = 0; op < 64; ++op) {
+    if (!IsManagementOp(op)) continue;
+    ++management_ops;
+    ASSERT_NE(service_->OpName(op), nullptr) << op;
+    EXPECT_STREQ(service_->OpName(op), RpcOpName(op));
+  }
+  EXPECT_EQ(management_ops, 7);
+  auto snapshot = Call<NodeSnapshot>(*conn_, kNodeSnapshot, DumpRequest{});
+  EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  // An empty payload is not a DumpRequest: the router's decode error
+  // names the op, as for any service opcode.
+  auto bad = conn_->CallSync(kNodeSnapshot, Buffer{});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("NodeSnapshot: bad request"),
+            std::string::npos)
+      << bad.status().ToString();
 }
 
 // Pipelined typed stubs: all request frames share one corked flush over

@@ -13,6 +13,7 @@
 #include "common/profiler.h"
 #include "common/trace.h"
 #include "glider/client/action_node.h"
+#include "net/rpc_client.h"
 #include "net/rpc_obs.h"
 #include "testing/cluster.h"
 
@@ -175,20 +176,10 @@ TEST(SamplingProfilerTest, CapturesSpinSamplesUnderTheTag) {
 
 // ---- kProfileDump RPC protocol ---------------------------------------------
 
-Buffer CmdPayload(net::ProfileCmd cmd) {
-  Buffer payload;
-  payload.Resize(1);
-  payload.mutable_span()[0] = static_cast<std::uint8_t>(cmd);
-  return payload;
-}
-
-Buffer StartPayload(std::uint32_t hz) {
-  Buffer payload;
-  payload.Resize(5);
-  payload.mutable_span()[0] =
-      static_cast<std::uint8_t>(net::ProfileCmd::kStart);
-  std::memcpy(payload.mutable_span().data() + 1, &hz, sizeof(hz));
-  return payload;
+Result<Buffer> Profile(net::Connection& conn, net::ProfileCmd cmd,
+                       std::uint32_t hz = 0) {
+  return net::Call<Buffer>(conn, net::kProfileDump,
+                           net::ProfileRequest{cmd, hz});
 }
 
 TEST(ProfileDumpRpcTest, StartDumpStopAgainstMiniCluster) {
@@ -199,7 +190,7 @@ TEST(ProfileDumpRpcTest, StartDumpStopAgainstMiniCluster) {
       (*cluster)->metadata_address(), nullptr);
   ASSERT_TRUE(conn.ok());
 
-  auto started = (*conn)->CallSync(net::kProfileDump, StartPayload(151));
+  auto started = Profile(**conn, net::ProfileCmd::kStart, 151);
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   ASSERT_GE(started->size(), 1u);
   EXPECT_EQ(started->data()[0], 1);  // started by this call
@@ -208,7 +199,7 @@ TEST(ProfileDumpRpcTest, StartDumpStopAgainstMiniCluster) {
 
   // A second start reports "already running" instead of failing, so a CLI
   // session never tears down another operator's window.
-  auto again = (*conn)->CallSync(net::kProfileDump, StartPayload(99));
+  auto again = Profile(**conn, net::ProfileCmd::kStart, 99);
   ASSERT_TRUE(again.ok());
   ASSERT_GE(again->size(), 1u);
   EXPECT_EQ(again->data()[0], 0);
@@ -219,24 +210,21 @@ TEST(ProfileDumpRpcTest, StartDumpStopAgainstMiniCluster) {
     SamplingProfiler::Global().AddWaitSample("queue", 1'000'000);
   }
 
-  // Empty payload is a plain dump; the window survives it.
-  auto dump = (*conn)->CallSync(net::kProfileDump, Buffer());
+  // A plain dump leaves the window in place.
+  auto dump = Profile(**conn, net::ProfileCmd::kDump);
   ASSERT_TRUE(dump.ok());
   const std::string folded(reinterpret_cast<const char*>(dump->data()),
                            dump->size());
   EXPECT_TRUE(Contains(folded, "rpc.test;[wait];queue"));
 
-  auto stopped =
-      (*conn)->CallSync(net::kProfileDump, CmdPayload(net::ProfileCmd::kStop));
+  auto stopped = Profile(**conn, net::ProfileCmd::kStop);
   ASSERT_TRUE(stopped.ok());
   EXPECT_FALSE(SamplingProfiler::Global().running());
 
   // Dump-and-clear drains the window.
-  auto cleared = (*conn)->CallSync(net::kProfileDump,
-                                   CmdPayload(net::ProfileCmd::kDumpClear));
+  auto cleared = Profile(**conn, net::ProfileCmd::kDumpClear);
   ASSERT_TRUE(cleared.ok());
-  auto empty = (*conn)->CallSync(net::kProfileDump,
-                                 CmdPayload(net::ProfileCmd::kDump));
+  auto empty = Profile(**conn, net::ProfileCmd::kDump);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->size(), 0u);
 }

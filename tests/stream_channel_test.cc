@@ -23,11 +23,11 @@ TEST(StreamChannelTest, InOrderPushPop) {
   ASSERT_EQ(acks.size(), 2u);
   EXPECT_TRUE(acks[0].ok() && acks[1].ok());
 
-  auto t1 = channel.BlockingPop(nullptr);
-  auto t2 = channel.BlockingPop(nullptr);
+  auto t1 = channel.BlockingPopAll(nullptr, 1);
+  auto t2 = channel.BlockingPopAll(nullptr, 1);
   ASSERT_TRUE(t1.ok() && t2.ok());
-  EXPECT_EQ(t1->data.ToString(), "a");
-  EXPECT_EQ(t2->data.ToString(), "b");
+  EXPECT_EQ(t1->front().data.ToString(), "a");
+  EXPECT_EQ(t2->front().data.ToString(), "b");
 }
 
 TEST(StreamChannelTest, OutOfOrderArrivalsReleasedInSequence) {
@@ -39,9 +39,9 @@ TEST(StreamChannelTest, OutOfOrderArrivalsReleasedInSequence) {
   channel.AsyncPush(0, Task("a"), [&](Status) { admitted.push_back(0); });
   EXPECT_EQ(admitted, (std::vector<int>{0, 1, 2}));
 
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "a");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "b");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "c");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "b");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "c");
 }
 
 TEST(StreamChannelTest, AdmissionDeferredWhileFull) {
@@ -51,7 +51,7 @@ TEST(StreamChannelTest, AdmissionDeferredWhileFull) {
   channel.AsyncPush(1, Task("b"), [&](Status) { ++acked; });
   channel.AsyncPush(2, Task("c"), [&](Status) { ++acked; });
   EXPECT_EQ(acked, 2);  // third write waits for space
-  ASSERT_TRUE(channel.BlockingPop(nullptr).ok());
+  ASSERT_TRUE(channel.BlockingPopAll(nullptr, 1).ok());
   EXPECT_EQ(acked, 3);  // space freed -> admission + ack
 }
 
@@ -149,9 +149,9 @@ TEST(StreamChannelTest, AsyncPushAllAdmitsBatchWithSingleAck) {
   });
   EXPECT_EQ(acks, 1);  // one ack for the whole batch
   EXPECT_TRUE(last.ok());
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "a");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "b");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "c");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "b");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "c");
 }
 
 TEST(StreamChannelTest, AsyncPushAllOutOfOrderWaitsForHole) {
@@ -164,9 +164,9 @@ TEST(StreamChannelTest, AsyncPushAllOutOfOrderWaitsForHole) {
   EXPECT_EQ(acks, 0);  // hole at seq 0: nothing admitted yet
   channel.AsyncPush(0, Task("a"), [](Status) {});
   EXPECT_EQ(acks, 1);
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "a");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "b");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "c");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "b");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "c");
 }
 
 TEST(StreamChannelTest, AsyncPushAllAckDeferredUntilLastAdmitted) {
@@ -178,10 +178,10 @@ TEST(StreamChannelTest, AsyncPushAllAckDeferredUntilLastAdmitted) {
   batch.push_back(Task("c"));
   channel.AsyncPushAll(0, std::move(batch), [&](Status) { ++acks; });
   EXPECT_EQ(acks, 0);  // capacity 2: the last task is still waiting
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "a");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
   EXPECT_EQ(acks, 1);  // pop freed a slot; "c" admitted, batch acked
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "b");
-  EXPECT_EQ(channel.BlockingPop(nullptr)->data.ToString(), "c");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "b");
+  EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "c");
 }
 
 TEST(StreamChannelTest, AbortFailsPendingBatchAck) {
@@ -237,9 +237,9 @@ TEST(StreamChannelTest, BlockingPopWaitsForData) {
   StreamChannel channel(4);
   std::string got;
   std::thread consumer([&] {
-    auto t = channel.BlockingPop(nullptr);
+    auto t = channel.BlockingPopAll(nullptr, 1);
     ASSERT_TRUE(t.ok());
-    got = t->data.ToString();
+    got = t->front().data.ToString();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   channel.AsyncPush(0, Task("late"), [](Status) {});
@@ -280,7 +280,7 @@ TEST(StreamChannelTest, InterleavedPopYieldsMonitor) {
 
   std::thread method_a([&] {
     monitor.Enter();
-    auto task = channel_a.BlockingPop(&monitor);  // yields while waiting
+    auto task = channel_a.BlockingPopAll(&monitor, 1);  // yields while waiting
     EXPECT_TRUE(task.ok());
     monitor.Exit();
   });
@@ -306,7 +306,7 @@ TEST(StreamChannelTest, NonInterleavedPopHoldsMonitor) {
 
   std::thread method_a([&] {
     monitor.Enter();
-    auto task = channel.BlockingPop(nullptr);  // holds the turn
+    auto task = channel.BlockingPopAll(nullptr, 1);  // holds the turn
     EXPECT_TRUE(task.ok());
     a_done = true;
     monitor.Exit();

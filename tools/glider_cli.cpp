@@ -28,11 +28,11 @@
 //   events <address> [clear]         print a server's structured event
 //                                    journal as JSON
 //   ledger [--by principal|action|key] [--clear]
-//                                    poll every server's resource ledger
-//                                    (kLedgerDump) via the metadata server,
-//                                    merge exactly, and print attribution
-//                                    tables (per tenant, per operation, or
-//                                    the hot-key sketch)
+//                                    poll every server's node snapshot via
+//                                    the metadata server, merge the ledgers
+//                                    exactly, and print attribution tables
+//                                    (per tenant, per operation, or the
+//                                    hot-key sketch)
 //   profile <address> [--seconds N] [--hz H] [--folded out.txt]
 //                                    sample the server for N seconds (default
 //                                    2) and print/write collapsed stacks —
@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -48,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/prometheus.h"
 #include "common/trace.h"
 #include "glider/client/action_node.h"
 #include "glider/cluster_monitor.h"
@@ -124,41 +124,53 @@ int Usage(const std::string& unknown = "") {
   return 2;
 }
 
-// Sends an observability opcode directly to the server at `address` and
-// prints the JSON payload it returns.
-int DumpFromServer(net::TcpTransport& transport, const std::string& address,
-                   std::uint16_t opcode, bool clear) {
-  auto conn = transport.Connect(
+Result<std::shared_ptr<net::Connection>> ConnectControl(
+    net::TcpTransport& transport, const std::string& address) {
+  return transport.Connect(
       address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
+}
+
+// Sends a management request directly to the server at `address` and
+// prints the JSON payload it returns.
+template <typename Req>
+int DumpFromServer(net::TcpTransport& transport, const std::string& address,
+                   std::uint16_t opcode, const Req& request) {
+  auto conn = ConnectControl(transport, address);
   if (!conn.ok()) return Fail(conn.status());
-  Buffer payload;
-  if (clear) {
-    payload.Resize(1);
-    payload.mutable_span()[0] = 1;
-  }
-  auto result = (*conn)->CallSync(opcode, std::move(payload));
+  auto result = net::Call<Buffer>(**conn, opcode, request);
   if (!result.ok()) return Fail(result.status());
   std::fwrite(result->data(), 1, result->size(), stdout);
   std::printf("\n");
   return 0;
 }
 
-// Fetches one server's time-series rings (kSeriesDump) and prints each
-// series' latest window: `<name> n=<samples> last=<value>`.
+Result<net::NodeSnapshot> FetchSnapshot(net::TcpTransport& transport,
+                                        const std::string& address) {
+  GLIDER_ASSIGN_OR_RETURN(auto conn, ConnectControl(transport, address));
+  return net::Call<net::NodeSnapshot>(*conn, net::kNodeSnapshot,
+                                      net::DumpRequest{});
+}
+
+// Prints one server's registry as JSON, rendered here from its snapshot.
+int PrintStats(net::TcpTransport& transport, const std::string& address) {
+  auto snapshot = FetchSnapshot(transport, address);
+  if (!snapshot.ok()) return Fail(snapshot.status());
+  std::printf("%s\n", obs::SnapshotJson(snapshot->metrics).c_str());
+  return 0;
+}
+
+// Prints each of one server's time-series rings as its latest window:
+// `<name> n=<samples> last=<value>`.
 int PrintSeries(net::TcpTransport& transport, const std::string& address) {
-  auto conn = transport.Connect(
-      address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
-  if (!conn.ok()) return Fail(conn.status());
-  auto dump = net::Call<net::SeriesDumpResponse>(**conn, net::kSeriesDump,
-                                                 Buffer{});
-  if (!dump.ok()) return Fail(dump.status());
-  if (dump->sampler_interval_ms == 0) {
+  auto snapshot = FetchSnapshot(transport, address);
+  if (!snapshot.ok()) return Fail(snapshot.status());
+  if (snapshot->sampler_interval_ms == 0) {
     std::printf("# sampler not running (start the daemon with --sample-ms)\n");
   } else {
     std::printf("# sampler interval: %" PRIu64 " ms\n",
-                dump->sampler_interval_ms);
+                snapshot->sampler_interval_ms);
   }
-  for (const auto& series : dump->series) {
+  for (const auto& series : snapshot->series) {
     const double last =
         series.samples.empty() ? 0.0 : series.samples.back().value;
     std::printf("%-48s n=%-4zu last=%.2f\n", series.name.c_str(),
@@ -173,16 +185,14 @@ int PrintSeries(net::TcpTransport& transport, const std::string& address) {
 // concurrent operators don't tear down each other's windows.
 int Profile(net::TcpTransport& transport, const std::string& address,
             int seconds, std::uint32_t hz, const std::string& folded_path) {
-  auto conn = transport.Connect(
-      address, net::LinkModel::Unshaped(LinkClass::kControl, nullptr));
+  auto conn = ConnectControl(transport, address);
   if (!conn.ok()) return Fail(conn.status());
+  auto profile = [&](net::ProfileCmd cmd) {
+    return net::Call<Buffer>(**conn, net::kProfileDump,
+                             net::ProfileRequest{cmd, hz});
+  };
 
-  Buffer start_payload;
-  start_payload.Resize(5);
-  start_payload.mutable_span()[0] =
-      static_cast<std::uint8_t>(net::ProfileCmd::kStart);
-  std::memcpy(start_payload.mutable_span().data() + 1, &hz, sizeof(hz));
-  auto started = (*conn)->CallSync(net::kProfileDump, std::move(start_payload));
+  auto started = profile(net::ProfileCmd::kStart);
   if (!started.ok()) return Fail(started.status());
   const bool we_started = started->size() >= 1 && started->data()[0] == 1;
   if (!we_started) {
@@ -194,19 +204,12 @@ int Profile(net::TcpTransport& transport, const std::string& address,
   std::this_thread::sleep_for(std::chrono::seconds(seconds));
 
   if (we_started) {
-    Buffer stop_payload;
-    stop_payload.Resize(1);
-    stop_payload.mutable_span()[0] =
-        static_cast<std::uint8_t>(net::ProfileCmd::kStop);
-    auto stopped = (*conn)->CallSync(net::kProfileDump, std::move(stop_payload));
+    auto stopped = profile(net::ProfileCmd::kStop);
     if (!stopped.ok()) return Fail(stopped.status());
   }
 
-  Buffer dump_payload;
-  dump_payload.Resize(1);
-  dump_payload.mutable_span()[0] = static_cast<std::uint8_t>(
-      we_started ? net::ProfileCmd::kDumpClear : net::ProfileCmd::kDump);
-  auto dump = (*conn)->CallSync(net::kProfileDump, std::move(dump_payload));
+  auto dump = profile(we_started ? net::ProfileCmd::kDumpClear
+                                 : net::ProfileCmd::kDump);
   if (!dump.ok()) return Fail(dump.status());
 
   if (!folded_path.empty()) {
@@ -238,24 +241,25 @@ int ClusterStats(net::TcpTransport& transport, const std::string& metadata) {
       std::printf("  %-21s %-8s counters=%zu histograms=%zu\n",
                   server.server.address.c_str(),
                   server.is_metadata ? "metadata" : "storage",
-                  server.dump.snapshot.counters.size(),
-                  server.dump.snapshot.histograms.size());
+                  server.snapshot.metrics.counters.size(),
+                  server.snapshot.metrics.histograms.size());
     } else {
       std::printf("  %-21s %-8s [%s]\n", server.server.address.c_str(),
                   server.is_metadata ? "metadata" : "storage",
                   server.status.ToString().c_str());
     }
   }
+  const obs::MetricsSnapshot& merged = sample->merged.metrics;
   std::printf("merged counters:\n");
-  for (const auto& [name, value] : sample->merged.counters) {
+  for (const auto& [name, value] : merged.counters) {
     std::printf("  %-48s %" PRIu64 "\n", name.c_str(), value);
   }
   std::printf("merged gauges:\n");
-  for (const auto& [name, value] : sample->merged.gauges) {
+  for (const auto& [name, value] : merged.gauges) {
     std::printf("  %-48s %" PRId64 "\n", name.c_str(), value);
   }
   std::printf("merged histograms (count / p50 / p99):\n");
-  for (const auto& [name, hist] : sample->merged.histograms) {
+  for (const auto& [name, hist] : merged.histograms) {
     std::printf("  %-48s %" PRIu64 " / %" PRIu64 " / %" PRIu64 "\n",
                 name.c_str(), hist.count, hist.Percentile(50),
                 hist.Percentile(99));
@@ -263,22 +267,23 @@ int ClusterStats(net::TcpTransport& transport, const std::string& metadata) {
   return 0;
 }
 
-// Polls every server's resource ledger via the metadata server, merges the
-// dumps exactly (cells sum per (principal, op); sketches merge under the
-// space-saving rule) and prints one attribution table. `by` selects the
-// grouping: "principal" (per-tenant totals plus a per-op breakdown),
-// "action" (per-op totals across tenants), "key" (the hot-key sketch).
+// Polls every server via the metadata server and prints one attribution
+// table from the merged snapshot (ledger cells sum per (principal, op);
+// sketches merge under the space-saving rule). `by` selects the grouping:
+// "principal" (per-tenant totals plus a per-op breakdown), "action"
+// (per-op totals across tenants), "key" (the hot-key sketch).
 int Ledger(net::TcpTransport& transport, const std::string& metadata,
            const std::string& by, bool clear) {
   ClusterMonitor monitor(&transport, metadata,
                          net::LinkModel::Unshaped(LinkClass::kControl,
                                                   nullptr));
-  auto dump = monitor.PollLedgers(clear);
-  if (!dump.ok()) return Fail(dump.status());
+  auto sample = monitor.Poll(clear);
+  if (!sample.ok()) return Fail(sample.status());
+  const net::NodeSnapshot& merged = sample->merged;
 
   if (by == "key") {
-    const net::LedgerDumpResponse::Sketch* keys = nullptr;
-    for (const auto& sketch : dump->sketches) {
+    const net::NodeSnapshot::Sketch* keys = nullptr;
+    for (const auto& sketch : merged.sketches) {
       if (sketch.name == "keys") keys = &sketch;
     }
     if (keys == nullptr || keys->entries.empty()) {
@@ -296,14 +301,14 @@ int Ledger(net::TcpTransport& transport, const std::string& metadata,
     return 0;
   }
 
-  if (dump->entries.empty()) {
+  if (merged.ledger.empty()) {
     std::printf("# ledger empty (is observability on?)\n");
     return 0;
   }
 
   if (by == "action") {
     std::map<std::string, obs::LedgerCell> per_op;
-    for (const auto& entry : dump->entries) {
+    for (const auto& entry : merged.ledger) {
       per_op[entry.op].Merge(entry.cell);
     }
     std::printf("%-28s %12s %12s %12s %12s %10s\n", "OP", "CPU_US",
@@ -318,13 +323,9 @@ int Ledger(net::TcpTransport& transport, const std::string& metadata,
   }
 
   // Default: per-principal totals, then the (principal, op) breakdown.
-  std::map<obs::PrincipalId, obs::LedgerCell> per_principal;
-  for (const auto& entry : dump->entries) {
-    per_principal[entry.principal].Merge(entry.cell);
-  }
   std::printf("%-12s %12s %12s %12s %12s %10s\n", "PRINCIPAL", "CPU_US",
               "QUEUE_US", "BYTES_IN", "BYTES_OUT", "CALLS");
-  for (const auto& [principal, cell] : per_principal) {
+  for (const auto& [principal, cell] : obs::PerPrincipal(merged.ledger)) {
     std::printf("%-12s %12" PRIu64 " %12" PRIu64 " %12" PRIu64 " %12" PRIu64
                 " %10" PRIu64 "\n",
                 obs::PrincipalName(principal).c_str(), cell.cpu_us,
@@ -333,7 +334,7 @@ int Ledger(net::TcpTransport& transport, const std::string& metadata,
   }
   std::printf("\n%-12s %-28s %12s %12s %12s %12s %10s\n", "PRINCIPAL", "OP",
               "CPU_US", "QUEUE_US", "BYTES_IN", "BYTES_OUT", "CALLS");
-  for (const auto& entry : dump->entries) {
+  for (const auto& entry : merged.ledger) {
     std::printf("%-12s %-28s %12" PRIu64 " %12" PRIu64 " %12" PRIu64
                 " %12" PRIu64 " %10" PRIu64 "\n",
                 obs::PrincipalName(entry.principal).c_str(), entry.op.c_str(),
@@ -351,7 +352,7 @@ int Health(net::TcpTransport& transport, const std::string& metadata,
            const std::string& address) {
   if (!address.empty()) {
     return DumpFromServer(transport, address, net::kHealthDump,
-                          /*clear=*/false);
+                          net::EmptyRequest{});
   }
   ClusterMonitor monitor(&transport, metadata,
                          net::LinkModel::Unshaped(LinkClass::kControl,
@@ -459,21 +460,17 @@ int main(int argc, char** argv) {
 
   // Observability verbs talk to one server directly (the <path> argument is
   // its host:port), no store client needed.
-  if (command == "stats") {
-    return DumpFromServer(transport, path, net::kStatsDump, /*clear=*/false);
-  }
+  const net::DumpRequest dump{args.size() > 2 && args[2] == "clear"};
+  if (command == "stats") return PrintStats(transport, path);
   if (command == "trace-dump") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kTraceDump, clear);
+    return DumpFromServer(transport, path, net::kTraceDump, dump);
   }
   if (command == "slow-traces") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kSlowTraceDump, clear);
+    return DumpFromServer(transport, path, net::kSlowTraceDump, dump);
   }
   if (command == "series") return PrintSeries(transport, path);
   if (command == "events") {
-    const bool clear = args.size() > 2 && args[2] == "clear";
-    return DumpFromServer(transport, path, net::kEventDump, clear);
+    return DumpFromServer(transport, path, net::kEventDump, dump);
   }
   if (command == "profile") {
     int seconds = 2;

@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
   // --trace 1 turns on span recording + latency histograms (GLIDER_TRACE=1
   // in the environment does the same); dump via glider_cli stats/trace-dump.
   if (FlagOr(flags, "trace", "0") == "1") obs::SetEnabled(true);
-  // --sample-ms N starts the in-process time-series sampler (kSeriesDump /
-  // glider_top read its rings). Implies --trace: rates over disabled
+  // --sample-ms N starts the in-process time-series sampler (its rings
+  // ride the node snapshot; `glider_cli series` prints them). Implies --trace: rates over disabled
   // histograms would be all zeros.
   const long sample_ms = std::stol(FlagOr(flags, "sample-ms", "0"));
   if (sample_ms > 0) {
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   auto metrics = std::make_shared<Metrics>();
   // --metrics-listen host:port serves GET /metrics (Prometheus text). Each
   // scrape re-mirrors the data-plane gauges and recomputes the load index,
-  // so Prometheus sees the same values kStatsDump / kSeriesDump would.
+  // so Prometheus sees the same values a node snapshot would.
   std::unique_ptr<net::HttpMetricsServer> metrics_http;
   const std::string metrics_listen = FlagOr(flags, "metrics-listen", "");
   if (!metrics_listen.empty()) {

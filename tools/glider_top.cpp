@@ -3,19 +3,18 @@
 //
 //   glider_top --metadata host:port [--interval ms] [--once]
 //
-// Each tick polls every server via ClusterMonitor (one kSeriesDump RPC per
-// server), diffs the snapshots against the previous tick, and repaints:
+// Each tick polls every server via ClusterMonitor (one kNodeSnapshot RPC
+// per server), diffs the snapshots against the previous tick, and repaints:
 //
 //   * per-server rows: ops/s (RPCs handled), bytes in/out per second,
 //     action queue depth, windowed p50/p99 of server-side RPC handling,
 //     the node's load index and failure-detector verdict (phi), plus the
-//     TENANT column: the principal with the most ledger CPU on that node
-//     (from the "ledger.<principal>.cpu_us" rollup gauges);
+//     TENANT column: the principal with the most ledger CPU on that node;
 //   * a per-action-slot table attributing invocations, stream bytes and
 //     CPU time to individual slots (active servers only). Slots flagged by
 //     the server's hotspot detector are marked with '*';
-//   * a per-tenant table over the merged rollup gauges: cluster-wide CPU,
-//     queue time, bytes and invocations charged to each principal.
+//   * a per-tenant table over the merged ledger: cluster-wide CPU, queue
+//     time, bytes and invocations charged to each principal.
 //
 // Rates come from counter/histogram deltas between consecutive polls, so
 // the first tick shows only absolute values. --once prints a single
@@ -61,8 +60,8 @@ int Usage(const char* unknown = nullptr) {
       "Each tick shows per-server rates (ops/s, bytes/s, queue depth,\n"
       "windowed p50/p99, load index, failure-detector health), the tenant\n"
       "with the most attributed CPU per node, a per-action-slot table, and\n"
-      "a cluster-wide per-tenant attribution table from the ledger rollup\n"
-      "gauges. Use `glider_cli ledger` for exact per-operation breakdowns.\n");
+      "a cluster-wide per-tenant attribution table from the merged ledger.\n"
+      "Use `glider_cli ledger` for exact per-operation breakdowns.\n");
   return 2;
 }
 
@@ -85,21 +84,10 @@ struct ServerRow {
   std::int64_t queue_depth = 0;
   std::uint64_t p50_us = 0;  // windowed over the tick, cumulative on tick 0
   std::uint64_t p99_us = 0;
-  // The principal with the most attributed CPU on this node, from the
-  // "ledger.<principal>.cpu_us" rollup gauges ("-" when nothing charged).
+  // The principal with the most attributed CPU on this node, from its
+  // ledger ("-" when nothing charged).
   std::string top_principal = "-";
 };
-
-// Parses "ledger.<principal>.<field>" rollup gauge names; returns the
-// principal (empty when `name` is not a rollup gauge for `field`).
-std::string LedgerGaugePrincipal(const std::string& name, const char* field) {
-  if (!StartsWith(name, "ledger.")) return "";
-  const std::string suffix = std::string(".") + field;
-  if (!EndsWith(name, suffix.c_str())) return "";
-  const std::size_t start = std::strlen("ledger.");
-  if (name.size() <= start + suffix.size()) return "";
-  return name.substr(start, name.size() - start - suffix.size());
-}
 
 // Per-slot attribution extracted from `active.slot<i>.*` metric names.
 struct SlotRow {
@@ -117,8 +105,9 @@ double Rate(std::uint64_t now, std::uint64_t prev, double dt_s) {
   return static_cast<double>(now - prev) / dt_s;
 }
 
-ServerRow Digest(const obs::MetricsSnapshot& snap,
+ServerRow Digest(const net::NodeSnapshot& node,
                  const obs::MetricsSnapshot* prev, double dt_s) {
+  const obs::MetricsSnapshot& snap = node.metrics;
   ServerRow row;
   row.snapshot = snap;
 
@@ -144,13 +133,14 @@ ServerRow Digest(const obs::MetricsSnapshot& snap,
       row.bytes_out_per_s += Rate(value, prev_counter(name), dt_s);
     }
   }
-  std::int64_t top_cpu = 0;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "active.queue_depth") row.queue_depth = value;
-    const std::string principal = LedgerGaugePrincipal(name, "cpu_us");
-    if (!principal.empty() && value > top_cpu) {
-      top_cpu = value;
-      row.top_principal = principal;
+  if (const std::int64_t* depth = snap.FindGauge("active.queue_depth")) {
+    row.queue_depth = *depth;
+  }
+  std::uint64_t top_cpu = 0;
+  for (const auto& [principal, cell] : obs::PerPrincipal(node.ledger)) {
+    if (cell.cpu_us > top_cpu) {
+      top_cpu = cell.cpu_us;
+      row.top_principal = obs::PrincipalName(principal);
     }
   }
   // Server-side RPC handling: sum every rpc.server.* histogram, windowed
@@ -321,9 +311,9 @@ int main(int argc, char** argv) {
         auto it = prev.find(address);
         const obs::MetricsSnapshot* prev_snap =
             it == prev.end() ? nullptr : &it->second;
-        const ServerRow row =
-            Digest(server.dump.snapshot, prev_snap, dt_s);
-        DigestSlots(server.dump.snapshot, prev_snap, dt_s, address, &slots);
+        const ServerRow row = Digest(server.snapshot, prev_snap, dt_s);
+        DigestSlots(server.snapshot.metrics, prev_snap, dt_s, address,
+                    &slots);
         std::printf("%-21s %-8s %9.1f %9s %9s %5" PRId64 " %8" PRIu64
                     " %8" PRIu64 " %6.2f %-10s %-8s\n",
                     address.c_str(),
@@ -355,39 +345,16 @@ int main(int argc, char** argv) {
                     row.cpu_per_s / 1e4,  // cpu-us per s -> percent of a core
                     row.queue_depth);
       }
-      // Cluster-wide per-tenant attribution from the merged rollup gauges
-      // (gauges sum across servers, so these are cluster totals).
-      struct TenantRow {
-        std::int64_t cpu_us = 0, queue_us = 0;
-        std::int64_t bytes_in = 0, bytes_out = 0, invocations = 0;
-      };
-      std::map<std::string, TenantRow> tenants;
-      for (const auto& [name, value] : sample->merged.gauges) {
-        std::string principal;
-        if (!(principal = LedgerGaugePrincipal(name, "cpu_us")).empty()) {
-          tenants[principal].cpu_us = value;
-        } else if (!(principal =
-                         LedgerGaugePrincipal(name, "queue_us")).empty()) {
-          tenants[principal].queue_us = value;
-        } else if (!(principal =
-                         LedgerGaugePrincipal(name, "bytes_in")).empty()) {
-          tenants[principal].bytes_in = value;
-        } else if (!(principal =
-                         LedgerGaugePrincipal(name, "bytes_out")).empty()) {
-          tenants[principal].bytes_out = value;
-        } else if (!(principal =
-                         LedgerGaugePrincipal(name, "invocations")).empty()) {
-          tenants[principal].invocations = value;
-        }
-      }
+      // Cluster-wide per-tenant attribution from the merged ledger.
+      const auto tenants = obs::PerPrincipal(sample->merged.ledger);
       if (!tenants.empty()) {
         std::printf("\n%-12s %12s %12s %12s %12s %10s\n", "TENANT", "CPU_US",
                     "QUEUE_US", "BYTES_IN", "BYTES_OUT", "CALLS");
         for (const auto& [principal, t] : tenants) {
-          std::printf("%-12s %12" PRId64 " %12" PRId64 " %12" PRId64
-                      " %12" PRId64 " %10" PRId64 "\n",
-                      principal.c_str(), t.cpu_us, t.queue_us, t.bytes_in,
-                      t.bytes_out, t.invocations);
+          std::printf("%-12s %12" PRIu64 " %12" PRIu64 " %12" PRIu64
+                      " %12" PRIu64 " %10" PRIu64 "\n",
+                      obs::PrincipalName(principal).c_str(), t.cpu_us,
+                      t.queue_us, t.bytes_in, t.bytes_out, t.invocations);
         }
       }
       prev = std::move(next);
