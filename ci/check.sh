@@ -20,6 +20,11 @@ echo "== workload smoke: declarative spec, open-loop, in-process cluster =="
 # MiniCluster -> open-loop sweep (2 rates). Catches spec-format or runner
 # breakage in seconds, before the heavier legs below.
 build/tools/glider_load examples/specs/ci_smoke.spec
+# The Fig. 7 pair: both sort variants must agree on their [check] exports
+# (glider_load exits 1 on a RESULT MISMATCH), and workload.sort fails
+# unless its output is the input multiset, globally sorted.
+build/tools/glider_load examples/specs/sort_baseline.spec \
+  examples/specs/sort_glider.spec
 
 echo
 echo "== perf gate: contention + batching + load-curve vs committed baselines =="

@@ -143,21 +143,14 @@ void SorterAction::onCreate(core::ActionContext& ctx) {
 }
 
 void SorterAction::onWrite(core::ActionInputStream& in, core::ActionContext&) {
-  auto lines = in.Lines();
-  std::string line;
-  while (true) {
-    auto more = lines.NextLine(line);
-    if (!more.ok() || !*more) break;
-    record_bytes_ += line.size() + 1;
-    records_.push_back(std::move(line));
-    line.clear();
-  }
+  const Status added = run_.Add([&in] { return in.ReadChunk(); });
+  if (!added.ok()) GLIDER_LOG(kWarn, "sorter") << added.ToString();
 }
 
 void SorterAction::onRead(core::ActionOutputStream& out,
                           core::ActionContext& ctx) {
   if (!sorted_written_) {
-    std::sort(records_.begin(), records_.end());
+    run_.Sort();
     auto created = ctx.store().CreateNode(output_path_, nk::NodeType::kFile);
     if (!created.ok() &&
         created.status().code() != StatusCode::kAlreadyExists) {
@@ -166,24 +159,15 @@ void SorterAction::onRead(core::ActionOutputStream& out,
     }
     auto writer = nk::FileWriter::Open(ctx.store(), output_path_);
     if (!writer.ok()) return;
-    std::string batch;
-    for (const auto& record : records_) {
-      batch += record;
-      batch.push_back('\n');
-      if (batch.size() >= 256 * 1024) {
-        if (!(*writer)->Write(batch).ok()) return;
-        batch.clear();
-      }
-    }
-    if (!batch.empty() && !(*writer)->Write(batch).ok()) return;
+    if (!run_.WriteTo(**writer, ctx.store().options().chunk_size).ok()) return;
     if (!(*writer)->Close().ok()) return;
     sorted_written_ = true;
   }
-  (void)out.Write(std::to_string(records_.size()) + "\n");
+  (void)out.Write(std::to_string(run_.records()) + "\n");
   out.Close();
 }
 
-std::uint64_t SorterAction::StateBytes() const { return record_bytes_; }
+std::uint64_t SorterAction::StateBytes() const { return run_.bytes(); }
 
 // ---- SamplerAction ----------------------------------------------------------
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "glider/action.h"
+#include "workloads/record_run.h"
 
 namespace glider::workloads {
 
@@ -62,6 +63,8 @@ class NoopAction : public core::Action {
 
 // Receives shuffled records (P1), sorts them and writes the run to a file
 // inside the storage system on first read (P2). Config: output file path.
+// The received chunks stay as they arrived, indexed by one RecordRun that
+// every write stream feeds; they are freed when the action is deleted.
 class SorterAction : public core::Action {
  public:
   void onCreate(core::ActionContext& ctx) override;
@@ -71,8 +74,7 @@ class SorterAction : public core::Action {
 
  private:
   std::string output_path_;
-  std::vector<std::string> records_;
-  std::uint64_t record_bytes_ = 0;
+  RecordRun run_;
   bool sorted_written_ = false;
 };
 

@@ -596,6 +596,10 @@ class SortWorkloadNode : public WorkloadNode {
     GLIDER_ASSIGN_OR_RETURN(auto result,
                             glider_ ? RunSortGlider(*mini, params_)
                                     : RunSortBaseline(*mini, params_));
+    if (!result.verified) {
+      return Status::Internal(
+          "workload.sort: the output is not the input, globally sorted");
+    }
     stats().ops += result.records;
     stats().bytes += result.transfer_bytes;
     ctx.Export("p1_seconds", std::to_string(result.p1_seconds));

@@ -1,6 +1,8 @@
 #include "workloads/sort.h"
 
 #include <algorithm>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -8,6 +10,7 @@
 #include "glider/client/action_node.h"
 #include "workloads/actions.h"
 #include "workloads/generators.h"
+#include "workloads/record_run.h"
 
 namespace glider::workloads {
 namespace {
@@ -25,27 +28,58 @@ std::string TmpPath(std::size_t i, std::size_t j) {
 }
 std::string OutPath(std::size_t j) { return "/sort_out_" + std::to_string(j); }
 
-// Verifies the concatenation of /sort_out_0..R-1 is globally sorted and
-// counts records. Driver-side.
-Result<std::pair<bool, std::uint64_t>> VerifySorted(
-    nk::StoreClient& client, std::size_t num_reducers) {
-  std::string previous;
+// An order-independent digest of a multiset of records: the count and the
+// sum of one 64-bit hash per record.
+struct RecordDigest {
   std::uint64_t records = 0;
-  bool ordered = true;
-  for (std::size_t j = 0; j < num_reducers; ++j) {
-    auto reader = nk::FileReader::Open(client, OutPath(j));
-    if (!reader.ok()) return reader.status();
-    nk::LineScanner scanner([&] { return (*reader)->ReadChunk(); });
-    std::string line;
-    while (true) {
-      GLIDER_ASSIGN_OR_RETURN(auto more, scanner.NextLine(line));
-      if (!more) break;
-      if (line < previous) ordered = false;
-      previous = line;
-      ++records;
-    }
+  std::uint64_t hash_sum = 0;
+
+  void Add(std::string_view record) {
+    ++records;
+    hash_sum += std::hash<std::string_view>{}(record);
   }
-  return std::pair<bool, std::uint64_t>(ordered, records);
+  bool operator==(const RecordDigest&) const = default;
+};
+
+// Calls `fn` on each record of the file at `path`, in file order.
+template <typename Fn>
+Status ForEachRecord(nk::StoreClient& client, const std::string& path,
+                     Fn fn) {
+  GLIDER_ASSIGN_OR_RETURN(auto reader, nk::FileReader::Open(client, path));
+  nk::LineScanner scanner([&] { return reader->ReadChunk(); });
+  std::string line;
+  while (true) {
+    GLIDER_ASSIGN_OR_RETURN(auto more, scanner.NextLine(line));
+    if (!more) return Status::Ok();
+    fn(line);
+  }
+}
+
+// Verifies that the concatenation of /sort_out_0..R-1 is globally sorted
+// and holds the same multiset of records as the inputs /sort_in_*: a check
+// independent of the sort kernel both variants share. Runs in the calling
+// process after the timer stops. Returns the verdict and the output's
+// record count.
+Result<std::pair<bool, std::uint64_t>> VerifySorted(nk::StoreClient& client,
+                                                    std::size_t workers) {
+  RecordDigest input;
+  for (std::size_t i = 0; i < workers; ++i) {
+    GLIDER_RETURN_IF_ERROR(ForEachRecord(
+        client, InPath(i), [&](const std::string& line) { input.Add(line); }));
+  }
+  RecordDigest output;
+  std::string previous;
+  bool ordered = true;
+  for (std::size_t j = 0; j < workers; ++j) {
+    GLIDER_RETURN_IF_ERROR(
+        ForEachRecord(client, OutPath(j), [&](const std::string& line) {
+          if (line < previous) ordered = false;
+          previous = line;
+          output.Add(line);
+        }));
+  }
+  return std::pair<bool, std::uint64_t>(ordered && output == input,
+                                        output.records);
 }
 
 void Cleanup(nk::StoreClient& client, const SortParams& params,
@@ -138,36 +172,21 @@ Result<SortResult> RunSortBaseline(testing::MiniCluster& cluster,
   // write the run.
   GLIDER_RETURN_IF_ERROR(
       invoker.RunStage(r, [&](faas::WorkerContext& ctx) -> Status {
-        std::vector<std::string> records;
+        RecordRun run;
         for (std::size_t i = 0; i < params.workers; ++i) {
           GLIDER_ASSIGN_OR_RETURN(
               auto reader,
               nk::FileReader::Open(*ctx.store, TmpPath(i, ctx.worker_id)));
-          nk::LineScanner scanner([&] { return reader->ReadChunk(); });
-          std::string line;
-          while (true) {
-            GLIDER_ASSIGN_OR_RETURN(auto more, scanner.NextLine(line));
-            if (!more) break;
-            records.push_back(std::move(line));
-            line.clear();
-          }
+          GLIDER_RETURN_IF_ERROR(run.Add([&] { return reader->ReadChunk(); }));
         }
-        std::sort(records.begin(), records.end());
+        run.Sort();
         GLIDER_RETURN_IF_ERROR(
             ctx.store->CreateNode(OutPath(ctx.worker_id), nk::NodeType::kFile)
                 .status());
         GLIDER_ASSIGN_OR_RETURN(
             auto writer, nk::FileWriter::Open(*ctx.store, OutPath(ctx.worker_id)));
-        std::string batch;
-        for (const auto& record : records) {
-          batch += record;
-          batch.push_back('\n');
-          if (batch.size() >= 256 * 1024) {
-            GLIDER_RETURN_IF_ERROR(writer->Write(batch));
-            batch.clear();
-          }
-        }
-        if (!batch.empty()) GLIDER_RETURN_IF_ERROR(writer->Write(batch));
+        GLIDER_RETURN_IF_ERROR(
+            run.WriteTo(*writer, ctx.store->options().chunk_size));
         return writer->Close();
       }));
   const double total = timer.Seconds();

@@ -25,7 +25,7 @@ struct SortResult {
   std::uint64_t transfer_bytes = 0;
   std::uint64_t accesses = 0;
   std::uint64_t records = 0;  // records in the sorted output (invariant)
-  bool verified = false;      // global order + record count checked
+  bool verified = false;      // globally sorted, same multiset as the input
 };
 
 // Creates /sort/in_<i> input partitions (driver-side, unmeasured).

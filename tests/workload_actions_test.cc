@@ -1,14 +1,21 @@
 // Tests of the evaluation action library (workloads/actions.*) running on a
-// live cluster: merge, filter, noop, sorter, sampler+manager (including the
-// action-to-action stream), reader, and checkpointing merge.
+// live cluster: merge, filter, noop, sorter (and its RecordRun sort kernel),
+// sampler+manager (including the action-to-action stream), reader, and
+// checkpointing merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <deque>
 #include <sstream>
+#include <thread>
 
+#include "common/random.h"
 #include "glider/client/action_node.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
 #include "workloads/generators.h"
+#include "workloads/record_run.h"
 
 namespace glider::workloads {
 namespace {
@@ -53,6 +60,29 @@ class WorkloadActionsTest : public ::testing::Test {
   std::unique_ptr<testing::MiniCluster> cluster_;
   std::unique_ptr<nk::StoreClient> client_;
 };
+
+// The records of `text` as nk::LineScanner yields them.
+std::vector<std::string> SplitRecords(std::string_view text) {
+  std::vector<std::string> records;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = std::min(text.find('\n', pos), text.size());
+    records.emplace_back(text.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return records;
+}
+
+// `records` sorted as std::string, each followed by '\n'.
+std::string ReferenceRun(std::vector<std::string> records) {
+  std::sort(records.begin(), records.end());
+  std::string run;
+  for (const auto& record : records) {
+    run += record;
+    run.push_back('\n');
+  }
+  return run;
+}
 
 TEST_F(WorkloadActionsTest, MergeAggregatesAndToleratesJunk) {
   auto node = core::ActionNode::Create(*client_, "/m", "glider.merge");
@@ -102,6 +132,170 @@ TEST_F(WorkloadActionsTest, SorterSortsAndWritesRunInStorage) {
   auto run = client_->GetValue("/sorted_out");
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->ToString(), "aaa\nbbb\nccc\n");
+}
+
+TEST_F(WorkloadActionsTest, RecordRunSortsLikeStdStringOverSplitChunks) {
+  // Bytes that stress the order: NUL, tab, DEL and the high half (which
+  // must sort after ASCII, as unsigned chars). Half the records extend one
+  // of a few 8-byte stems, so many share their index prefix.
+  static constexpr unsigned char kAlphabet[] = {0x00, '\t', 'a',  'b',
+                                                0x7f, 0x80, 0xfe, 0xff};
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SplitMix64 rng(seed);
+    const auto random_bytes = [&](std::size_t n) {
+      std::string bytes;
+      for (std::size_t i = 0; i < n; ++i) {
+        bytes.push_back(static_cast<char>(
+            kAlphabet[rng.NextBelow(sizeof(kAlphabet))]));
+      }
+      return bytes;
+    };
+    std::vector<std::string> stems;
+    for (int i = 0; i < 4; ++i) stems.push_back(random_bytes(8));
+
+    // Two streams. The second one's final '\n' becomes a 'z', so it ends
+    // on a record with no newline.
+    std::string streams[2];
+    for (int i = 0; i < 4000; ++i) {
+      const std::size_t length = rng.NextBelow(21);
+      std::string record = rng.NextBelow(2) == 0
+                               ? random_bytes(length)
+                               : stems[rng.NextBelow(stems.size())].substr(
+                                     0, length) +
+                                     random_bytes(length > 8 ? length - 8 : 0);
+      std::string& stream = streams[rng.NextBelow(2)];
+      stream += record;
+      stream.push_back('\n');
+    }
+    streams[1].back() = 'z';
+    std::vector<std::string> records = SplitRecords(streams[0]);
+    for (auto& record : SplitRecords(streams[1])) records.push_back(record);
+    const std::string expected = ReferenceRun(records);
+
+    // Each stream as slices of one shared Buffer (as stream chunks share
+    // their frame), cut at random offsets with many 1-byte chunks.
+    RecordRun run;
+    for (const auto& stream : streams) {
+      const Buffer whole(stream);
+      std::deque<Buffer> chunks;
+      for (std::size_t off = 0; off < whole.size();) {
+        const std::size_t pick = rng.NextBelow(4);
+        const std::size_t n = pick < 2   ? 1
+                              : pick < 3 ? 1 + rng.NextBelow(40)
+                                         : 1 + rng.NextBelow(400);
+        chunks.push_back(whole.Slice(off, n));
+        off += n;
+      }
+      ASSERT_TRUE(run.Add([&chunks]() -> Result<Buffer> {
+                       if (chunks.empty()) return Buffer{};
+                       Buffer next = std::move(chunks.front());
+                       chunks.pop_front();
+                       return next;
+                     }).ok());
+    }
+    EXPECT_EQ(run.records(), records.size());
+    EXPECT_EQ(run.bytes(), expected.size());
+    run.Sort();
+
+    // Once with the cluster's chunk size, once with one that does not
+    // divide the output, so the last write is a partial staging buffer.
+    constexpr std::size_t kOddChunk = 997;
+    ASSERT_NE(expected.size() % kOddChunk, 0u);
+    for (const std::size_t chunk_size :
+         {cluster_->options().chunk_size, kOddChunk}) {
+      const std::string path = "/run_" + std::to_string(seed) + "_" +
+                               std::to_string(chunk_size);
+      ASSERT_TRUE(client_->CreateNode(path, nk::NodeType::kFile).ok());
+      auto writer = nk::FileWriter::Open(*client_, path);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(run.WriteTo(**writer, chunk_size).ok());
+      ASSERT_TRUE((*writer)->Close().ok());
+      auto written = client_->GetValue(path);
+      ASSERT_TRUE(written.ok());
+      EXPECT_TRUE(written->ToString() == expected) << "chunk " << chunk_size;
+    }
+  }
+}
+
+TEST_F(WorkloadActionsTest, SorterMergesInterleavedStreamsIntoOneRun) {
+  auto node = core::ActionNode::Create(*client_, "/si", "glider.sorter",
+                                       /*interleave=*/true,
+                                       AsBytes("/interleaved_run"));
+  ASSERT_TRUE(node.ok());
+  std::string streams[2];
+  SortRecordGenerator(7).Generate(200 * 1024, streams[0]);
+  SortRecordGenerator(8).Generate(200 * 1024, streams[1]);
+  streams[1].pop_back();  // the second stream ends without '\n'
+
+  // Both streams open at once, fed alternately in 5 KiB pieces. With the
+  // cluster's 16 KiB chunks, records straddle chunks. After each piece the
+  // test waits until the sorter has indexed every chunk sent so far: the
+  // stat turn that reads StateBytes() runs only while both onWrite turns
+  // wait on their streams, so each turn parks mid-record while the other
+  // stream's next chunk is read into the same run.
+  auto writer1 = node->OpenWriter();
+  auto writer2 = node->OpenWriter();
+  ASSERT_TRUE(writer1.ok());
+  ASSERT_TRUE(writer2.ok());
+  core::ActionWriter* writers[2] = {writer1->get(), writer2->get()};
+  const std::size_t chunk = cluster_->options().chunk_size;
+  // Bytes of the whole records (newlines included) in a stream's first n.
+  const auto indexed = [](std::string_view stream, std::size_t n) {
+    const std::size_t nl = stream.substr(0, n).rfind('\n');
+    return nl == std::string_view::npos ? std::size_t{0} : nl + 1;
+  };
+  constexpr std::size_t kPiece = 5 * 1024;
+  std::size_t written[2] = {0, 0};
+  while (written[0] < streams[0].size() || written[1] < streams[1].size()) {
+    for (int s = 0; s < 2; ++s) {
+      if (written[s] == streams[s].size()) continue;
+      const std::string_view piece =
+          std::string_view(streams[s]).substr(written[s], kPiece);
+      ASSERT_TRUE(writers[s]->Write(piece).ok());
+      written[s] += piece.size();
+      const std::uint64_t sent =
+          indexed(streams[0], written[0] / chunk * chunk) +
+          indexed(streams[1], written[1] / chunk * chunk);
+      std::uint64_t state = 0;
+      for (int poll = 0; poll < 10'000 && state != sent; ++poll) {
+        auto bytes = node->StateBytes();
+        ASSERT_TRUE(bytes.ok());
+        state = *bytes;
+        if (state != sent) {
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        }
+      }
+      ASSERT_EQ(state, sent);
+    }
+  }
+  for (core::ActionWriter* writer : writers) ASSERT_TRUE(writer->Close().ok());
+
+  std::vector<std::string> records = SplitRecords(streams[0]);
+  for (auto& record : SplitRecords(streams[1])) records.push_back(record);
+  const std::string reply = std::to_string(records.size()) + "\n";
+  EXPECT_EQ(ReadAll(*node), reply);
+  auto run = client_->GetValue("/interleaved_run");
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->ToString() == ReferenceRun(records));
+  auto state = node->StateBytes();
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, streams[0].size() + streams[1].size() + 1);
+
+  // A second read answers the same count and does not write the run again.
+  ASSERT_TRUE(client_->Delete("/interleaved_run").ok());
+  EXPECT_EQ(ReadAll(*node), reply);
+  EXPECT_FALSE(client_->Lookup("/interleaved_run").ok());
+
+  // A sorter that received no writes leaves an empty run.
+  auto empty = core::ActionNode::Create(*client_, "/se", "glider.sorter",
+                                        /*interleave=*/true,
+                                        AsBytes("/empty_run"));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(ReadAll(*empty), "0\n");
+  auto info = client_->Lookup("/empty_run");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->size, 0u);
 }
 
 TEST_F(WorkloadActionsTest, SamplerPersistsStreamsAndFeedsManager) {
