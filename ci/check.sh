@@ -269,6 +269,21 @@ trace_smoke() {
     --check --out "${smoke_dir}/merged_trace.json" \
     >"${smoke_dir}/assemble.log" 2>&1 \
     || { echo "trace smoke: glider_trace --check failed"; cat "${smoke_dir}/assemble.log"; return 1; }
+  # The smoke records a few hundred spans, far below one slot's flight
+  # recorder capacity: a dropped span here means that capacity was cut
+  # below a smoke-sized run. Every node materializes the counter at zero,
+  # so a missing one fails too.
+  local addr
+  for addr in "${META_ADDR}" "${STORAGE_ADDR}" "${ACTIVE_ADDR}"; do
+    "${build_dir}/tools/glider_cli" --metadata "${META_ADDR}" stats "${addr}" \
+      >"${smoke_dir}/stats-${addr##*:}.json" \
+      || { echo "trace smoke: glider_cli stats ${addr} failed"; return 1; }
+    python3 -c "import json,sys
+sys.exit(json.load(open(sys.argv[1]))['counters'].get('trace.dropped_spans') != 0)" \
+      "${smoke_dir}/stats-${addr##*:}.json" \
+      || { echo "trace smoke: ${addr} reports dropped spans (or no trace.dropped_spans counter)";
+           return 1; }
+  done
   [[ -s "${smoke_dir}/merged_trace.json" ]] \
     || { echo "trace smoke: empty merged Perfetto JSON"; return 1; }
   echo "trace smoke: $(grep -o '"ph":"X"' "${smoke_dir}/merged_trace.json" \

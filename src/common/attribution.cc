@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <memory>
 
 #include "common/metrics_registry.h"
 
@@ -63,59 +62,21 @@ PrincipalScope::~PrincipalScope() { t_principal = prev_; }
 
 // --- ResourceLedger ---------------------------------------------------------
 
-struct ResourceLedger::Shard {
-  std::mutex mu;
-  std::map<std::pair<PrincipalId, std::string>, LedgerCell> cells;
-};
-
-namespace {
-
-// Shards are shared_ptrs held by both the owning thread and a leaked
-// registry, so snapshots survive thread exit (same lifetime scheme as the
-// trace recorder's thread buffers).
-struct ShardRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ResourceLedger::Shard>> shards;
-};
-
-ShardRegistry& Shards() {
-  static ShardRegistry* registry = new ShardRegistry();
-  return *registry;
-}
-
-}  // namespace
-
 ResourceLedger& ResourceLedger::Global() {
   static ResourceLedger* ledger = new ResourceLedger();
   return *ledger;
 }
 
-ResourceLedger::Shard& ResourceLedger::LocalShard() {
-  thread_local std::shared_ptr<Shard> shard = [] {
-    auto s = std::make_shared<Shard>();
-    auto& registry = Shards();
-    std::scoped_lock lock(registry.mu);
-    registry.shards.push_back(s);
-    return s;
-  }();
-  return *shard;
-}
-
 void ResourceLedger::Charge(PrincipalId principal, const std::string& op,
                             const LedgerCell& delta) {
-  Shard& shard = LocalShard();
-  std::scoped_lock lock(shard.mu);
-  shard.cells[{principal, op}].Merge(delta);
+  cells_.With([&](Cells& cells) { cells[{principal, op}].Merge(delta); });
 }
 
 std::vector<LedgerEntry> ResourceLedger::Snapshot() const {
-  std::map<std::pair<PrincipalId, std::string>, LedgerCell> merged;
-  auto& registry = Shards();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& shard : registry.shards) {
-    std::scoped_lock shard_lock(shard->mu);
-    for (const auto& [key, cell] : shard->cells) merged[key].Merge(cell);
-  }
+  Cells merged;
+  cells_.ForEach([&](const Cells& cells) {
+    for (const auto& [key, cell] : cells) merged[key].Merge(cell);
+  });
   std::vector<LedgerEntry> out;
   out.reserve(merged.size());
   for (auto& [key, cell] : merged) {
@@ -124,14 +85,7 @@ std::vector<LedgerEntry> ResourceLedger::Snapshot() const {
   return out;
 }
 
-void ResourceLedger::Clear() {
-  auto& registry = Shards();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& shard : registry.shards) {
-    std::scoped_lock shard_lock(shard->mu);
-    shard->cells.clear();
-  }
-}
+void ResourceLedger::Clear() { cells_.Clear(); }
 
 std::vector<LedgerEntry> MergeLedgerEntries(
     const std::vector<LedgerEntry>& a, const std::vector<LedgerEntry>& b) {

@@ -11,12 +11,12 @@
 //     without any registry or agreement protocol. Longer names truncate;
 //     id 0 means unattributed ("-").
 //
-//   * ResourceLedger — sharded per-thread accumulators keyed by
-//     (principal, op) recording cpu_us / queue_us / bytes_in / bytes_out /
-//     invocations. Charged at the existing dispatch sites (RPC dispatch,
-//     action run/queue accounting, storage block ops, stream-channel
-//     push/pop); snapshots merge the shards exactly, and node snapshots
-//     (kNodeSnapshot) merge exactly across nodes (sums are associative).
+//   * ResourceLedger — per-thread accumulators keyed by (principal, op)
+//     recording cpu_us / queue_us / bytes_in / bytes_out / invocations.
+//     Charged at the existing dispatch sites (RPC dispatch, action
+//     run/queue accounting, storage block ops, stream-channel push/pop);
+//     snapshots merge the slots exactly, and node snapshots (kNodeSnapshot)
+//     merge exactly across nodes (sums are associative).
 //
 //   * SpaceSavingTopK — bounded-memory heavy-hitter sketches (Metwally et
 //     al.'s space-saving algorithm) over object keys, action methods and
@@ -39,7 +39,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "common/per_thread.h"
 
 namespace glider::obs {
 
@@ -99,30 +102,31 @@ struct LedgerEntry {
   LedgerCell cell;
 };
 
-// Sharded per-thread (principal, op) accumulators. A charge takes the
-// owning thread's shard mutex — uncontended except against a snapshotter —
-// so charging never serializes across threads. Shards are owned by a
-// leaked registry (the TraceRecorder idiom): a snapshot can walk buffers
-// of threads that have already exited.
+// Per-thread (principal, op) accumulators in PerThread slots. A charge
+// takes the calling thread's slot mutex — uncontended except against a
+// snapshotter — so charging never serializes across threads. An exited
+// thread's slot keeps its cells and is recycled by the next thread to
+// charge, so the slot count follows the peak number of charging threads.
 class ResourceLedger {
  public:
   static ResourceLedger& Global();
 
-  ResourceLedger() = default;
   ResourceLedger(const ResourceLedger&) = delete;
   ResourceLedger& operator=(const ResourceLedger&) = delete;
 
   void Charge(PrincipalId principal, const std::string& op,
               const LedgerCell& delta);
 
-  // Exact merge across shards, sorted by (principal, op).
+  // Exact merge across slots, sorted by (principal, op).
   std::vector<LedgerEntry> Snapshot() const;
   void Clear();
 
-  struct Shard;  // public so the shard registry can hold them
-
  private:
-  Shard& LocalShard();
+  using Cells = std::map<std::pair<PrincipalId, std::string>, LedgerCell>;
+
+  ResourceLedger() = default;
+
+  PerThread<Cells> cells_;
 };
 
 // Exact merge of two ledger snapshots (cells sum per (principal, op)):

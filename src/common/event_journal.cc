@@ -1,11 +1,8 @@
 #include "common/event_journal.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/trace.h"
@@ -26,29 +23,7 @@ const char* EventTypeName(EventType type) {
   return "unknown";
 }
 
-// Fixed-capacity ring: `events` grows to kRingCapacity once, then `next`
-// wraps and overwrites the oldest slot. Merge order is restored from the
-// timestamps at Snapshot() time, so the ring never shifts elements.
-struct EventJournal::ThreadRing {
-  mutable std::mutex mu;
-  std::vector<Event> events;
-  std::size_t next = 0;
-  std::uint64_t overwritten = 0;
-};
-
 namespace {
-
-struct RingRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<EventJournal::ThreadRing>> rings;
-};
-
-// Leaked intentionally (same as TraceRecorder's registry): thread-exit
-// destructors of thread_local shared_ptrs may run after static teardown.
-RingRegistry& Registry() {
-  static RingRegistry* registry = new RingRegistry();
-  return *registry;
-}
 
 void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
@@ -79,17 +54,6 @@ EventJournal& EventJournal::Global() {
   return *journal;
 }
 
-EventJournal::ThreadRing& EventJournal::LocalRing() {
-  thread_local std::shared_ptr<ThreadRing> ring = [] {
-    auto r = std::make_shared<ThreadRing>();
-    auto& registry = Registry();
-    std::scoped_lock lock(registry.mu);
-    registry.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
-}
-
 void EventJournal::Record(EventType type, std::string scope,
                           std::string detail, std::int64_t value) {
   Event event;
@@ -99,26 +63,14 @@ void EventJournal::Record(EventType type, std::string scope,
   event.value = value;
   event.scope = std::move(scope);
   event.detail = std::move(detail);
-
-  ThreadRing& ring = LocalRing();
-  std::scoped_lock lock(ring.mu);
-  if (ring.events.size() < kRingCapacity) {
-    ring.events.push_back(std::move(event));
-  } else {
-    ring.events[ring.next] = std::move(event);
-    ++ring.overwritten;
-  }
-  ring.next = (ring.next + 1) % kRingCapacity;
+  events_.With([&](auto& ring) { ring.Push(std::move(event)); });
 }
 
 std::vector<Event> EventJournal::Snapshot() const {
   std::vector<Event> all;
-  auto& registry = Registry();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
-    std::scoped_lock ring_lock(ring->mu);
-    all.insert(all.end(), ring->events.begin(), ring->events.end());
-  }
+  events_.ForEach([&](const auto& ring) {
+    ring.ForEach([&](const Event& e) { all.push_back(e); });
+  });
   std::stable_sort(all.begin(), all.end(),
                    [](const Event& a, const Event& b) { return a.t_us < b.t_us; });
   return all;
@@ -126,25 +78,11 @@ std::vector<Event> EventJournal::Snapshot() const {
 
 std::uint64_t EventJournal::Overwritten() const {
   std::uint64_t total = 0;
-  auto& registry = Registry();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
-    std::scoped_lock ring_lock(ring->mu);
-    total += ring->overwritten;
-  }
+  events_.ForEach([&](const auto& ring) { total += ring.overwritten(); });
   return total;
 }
 
-void EventJournal::Clear() {
-  auto& registry = Registry();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& ring : registry.rings) {
-    std::scoped_lock ring_lock(ring->mu);
-    ring->events.clear();
-    ring->next = 0;
-    ring->overwritten = 0;
-  }
-}
+void EventJournal::Clear() { events_.Clear(); }
 
 std::string EventJournal::ToJson() const {
   const std::vector<Event> events = Snapshot();

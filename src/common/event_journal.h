@@ -4,10 +4,12 @@
 // peer suspect/alive/dead transitions, slot stalls, buffer-pool exhaustion
 // — the discrete state changes that metrics rates smear out and traces
 // only capture when a request happens to be in flight. Records go to
-// per-thread rings (one mutex per thread, same idiom as TraceRecorder's
-// thread buffers, so recording never contends across threads); Snapshot()
-// merges the rings sorted by timestamp. Each ring is bounded: the newest
-// events win and an overwrite counter reports how many were dropped.
+// per-thread rings in PerThread slots (common/per_thread.h, as for the
+// TraceRecorder's spans: recording never contends across threads, and an
+// exited thread's ring is recycled by the next thread to record);
+// Snapshot() merges the rings sorted by timestamp. Each ring is bounded:
+// the newest events win and an overwrite counter reports how many were
+// dropped.
 //
 // Unlike tracing, the journal is always on — events are rare (state
 // transitions, not per-request), so there is nothing to gate. When a trace
@@ -19,6 +21,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/per_thread.h"
 
 namespace glider::obs {
 
@@ -46,13 +50,12 @@ struct Event {
 
 class EventJournal {
  public:
-  // Events retained per thread ring; beyond it the oldest are overwritten.
+  // Events retained per slot's ring; beyond it the oldest are overwritten.
   static constexpr std::size_t kRingCapacity = 256;
 
   // The process journal dumped by kEventDump / `glider_cli events`.
   static EventJournal& Global();
 
-  EventJournal() = default;
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
@@ -73,10 +76,10 @@ class EventJournal {
   //   "value":...,"trace_id":"<hex>"}],"overwritten":N}
   std::string ToJson() const;
 
-  struct ThreadRing;  // public so the ring registry can hold them
-
  private:
-  ThreadRing& LocalRing();
+  EventJournal() = default;
+
+  PerThread<Ring<Event, kRingCapacity>> events_;
 };
 
 // Shorthand for EventJournal::Global().Record(...): instrumentation sites

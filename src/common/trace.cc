@@ -42,12 +42,6 @@ std::chrono::steady_clock::time_point ProcessStart() {
   return start;
 }
 
-// Bound on retained spans per thread; beyond it spans are counted as
-// dropped instead of buffered.
-constexpr std::size_t kMaxSpansPerThread = 1u << 20;
-
-std::atomic<std::uint64_t> g_dropped{0};
-
 }  // namespace
 
 bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
@@ -86,81 +80,33 @@ TraceContextScope::~TraceContextScope() { t_context = prev_; }
 
 // ---- recorder ---------------------------------------------------------------
 
-struct TraceRecorder::ThreadBuffer {
-  mutable std::mutex mu;
-  std::vector<SpanRecord> spans;
-};
-
-namespace {
-
-struct BufferRegistry {
-  std::mutex mu;
-  std::vector<std::shared_ptr<TraceRecorder::ThreadBuffer>> buffers;
-};
-
-BufferRegistry& Registry() {
-  static BufferRegistry* registry = new BufferRegistry();
-  return *registry;
-}
-
-}  // namespace
-
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* recorder = new TraceRecorder();
   return *recorder;
 }
 
-TraceRecorder::ThreadBuffer& TraceRecorder::LocalBuffer() {
-  thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
-    auto b = std::make_shared<ThreadBuffer>();
-    auto& registry = Registry();
-    std::scoped_lock lock(registry.mu);
-    registry.buffers.push_back(b);
-    return b;
-  }();
-  return *buffer;
-}
-
 void TraceRecorder::Record(SpanRecord record) {
-  ThreadBuffer& buffer = LocalBuffer();
-  std::scoped_lock lock(buffer.mu);
-  if (buffer.spans.size() >= kMaxSpansPerThread) {
-    g_dropped.fetch_add(1, std::memory_order_relaxed);
-    // Cumulative registry counter (never reset by Clear, unlike g_dropped):
-    // surfaces buffer-wrap loss in `glider_cli stats` and /metrics, where a
+  if (spans_.With([&](auto& ring) { return ring.Push(std::move(record)); })) {
+    // Cumulative registry counter (never reset by Clear): surfaces
+    // flight-recorder loss in `glider_cli stats` and /metrics, where a
     // silently truncated dump would otherwise read as a complete trace.
     static Counter& dropped =
         MetricsRegistry::Global().GetCounter("trace.dropped_spans");
     dropped.Increment();
-    return;
   }
-  buffer.spans.push_back(std::move(record));
 }
 
-std::vector<SpanRecord> TraceRecorder::Snapshot() const {
-  std::vector<SpanRecord> all;
-  auto& registry = Registry();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    std::scoped_lock buffer_lock(buffer->mu);
-    all.insert(all.end(), buffer->spans.begin(), buffer->spans.end());
-  }
-  return all;
+std::vector<SpanRecord> TraceRecorder::Snapshot(std::uint64_t trace_id) const {
+  std::vector<SpanRecord> out;
+  spans_.ForEach([&](const auto& ring) {
+    ring.ForEach([&](const SpanRecord& s) {
+      if (trace_id == 0 || s.trace_id == trace_id) out.push_back(s);
+    });
+  });
+  return out;
 }
 
-std::uint64_t TraceRecorder::DroppedSpans() const {
-  return g_dropped.load(std::memory_order_relaxed);
-}
-
-void TraceRecorder::Clear() {
-  auto& registry = Registry();
-  std::scoped_lock lock(registry.mu);
-  for (const auto& buffer : registry.buffers) {
-    std::scoped_lock buffer_lock(buffer->mu);
-    buffer->spans.clear();
-  }
-  g_dropped.store(0, std::memory_order_relaxed);
-}
+void TraceRecorder::Clear() { spans_.Clear(); }
 
 std::string TraceRecorder::ToChromeJson() const {
   const std::vector<SpanRecord> spans = Snapshot();
@@ -247,12 +193,9 @@ void SlowTraceStore::OnRootSpanEnd(SpanRecord root,
   SlowTrace slow;
   slow.threshold_us = threshold;
   if (recorder != nullptr) {
-    // Rare path (this root was an outlier): a full recorder snapshot is
-    // acceptable here and the recorder's locks never take mu_.
-    for (SpanRecord& s : recorder->Snapshot()) {
-      if (s.trace_id == root.trace_id && s.span_id != root.span_id) {
-        slow.spans.push_back(std::move(s));
-      }
+    // Copies only this trace's spans; the recorder's locks never take mu_.
+    for (SpanRecord& s : recorder->Snapshot(root.trace_id)) {
+      if (s.span_id != root.span_id) slow.spans.push_back(std::move(s));
     }
   }
   slow.root = std::move(root);

@@ -8,10 +8,12 @@
 // thread) by capturing CurrentTraceContext() and re-installing it with a
 // TraceContextScope.
 //
-// The TraceRecorder keeps completed spans in thread-cached buffers (one
-// mutex-protected vector per thread, so recording never contends across
-// threads) and exports them as Chrome trace-event JSON ("traceEvents" with
-// "X" complete events) loadable in Perfetto / chrome://tracing.
+// The TraceRecorder keeps completed spans in per-thread slots (PerThread,
+// common/per_thread.h: recording never contends across threads, and an
+// exited thread's slot is recycled by the next thread to record). Each slot
+// is a flight recorder of its newest kSpansPerSlot spans. Spans export as
+// Chrome trace-event JSON ("traceEvents" with "X" complete events) loadable
+// in Perfetto / chrome://tracing.
 //
 // Everything is disabled by default: when !Enabled() (one relaxed atomic
 // load), spans are inert and nothing allocates. Set GLIDER_TRACE=1 or call
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "common/per_thread.h"
 
 namespace glider::obs {
 
@@ -88,26 +91,31 @@ struct SpanRecord {
 
 class TraceRecorder {
  public:
+  // Spans retained per slot (about 400 KiB); beyond it the oldest are
+  // overwritten. Slots follow the peak number of threads recording at
+  // once, so the store is bounded by that peak times this, whatever the
+  // trace volume or thread churn.
+  static constexpr std::size_t kSpansPerSlot = 4096;
+
   static TraceRecorder& Global();
 
-  // Appends to the calling thread's buffer (drops beyond a per-thread cap
-  // so a runaway trace cannot exhaust memory; drops are counted).
+  // Appends to the calling thread's slot; each overwritten span counts in
+  // the cumulative `trace.dropped_spans` counter.
   void Record(SpanRecord record);
 
-  // All spans recorded so far, across threads.
-  std::vector<SpanRecord> Snapshot() const;
-  std::uint64_t DroppedSpans() const;
+  // Retained spans across slots, each slot's oldest first; only trace
+  // `trace_id`'s spans when it is non-zero.
+  std::vector<SpanRecord> Snapshot(std::uint64_t trace_id = 0) const;
   void Clear();
 
   // Chrome trace-event JSON: {"traceEvents":[...]}. Span/trace ids are
   // attached as args so cross-process linkage survives the export.
   std::string ToChromeJson() const;
 
-  struct ThreadBuffer;  // public so the registry of buffers can hold them
-
  private:
   TraceRecorder() = default;
-  ThreadBuffer& LocalBuffer();
+
+  PerThread<Ring<SpanRecord, kSpansPerSlot>> spans_;
 };
 
 class SlowTraceStore {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/attribution.h"
+#include "common/event_journal.h"
 #include "common/metrics_registry.h"
 #include "common/prometheus.h"
 #include "common/trace.h"
@@ -29,6 +30,7 @@
 namespace glider {
 namespace {
 
+using obs::EventType;
 using obs::LedgerCell;
 using obs::LedgerEntry;
 using obs::MetricsRegistry;
@@ -136,6 +138,37 @@ TEST(ResourceLedgerTest, ChargesAcrossThreadsAndSnapshotsExactly) {
   EXPECT_EQ(bytes, 10u * kThreads * kChargesPerThread);
   ledger.Clear();
   EXPECT_TRUE(ledger.Snapshot().empty());
+}
+
+// Threads that exit hand their ledger slot to later threads: 2000
+// threads, at most 8 alive at once, each charging once (and recording one
+// journal event, so each thread holds two slots), bill exactly 2000
+// invocations.
+TEST(ResourceLedgerTest, ExactAcrossThreadChurn) {
+  auto& ledger = ResourceLedger::Global();
+  ledger.Clear();
+  constexpr int kThreads = 2000;
+  constexpr int kWave = 8;
+  for (int started = 0; started < kThreads; started += kWave) {
+    std::vector<std::thread> wave;
+    for (int i = 0; i < kWave; ++i) {
+      wave.emplace_back([] {
+        LedgerCell cell;
+        cell.invocations = 1;
+        ResourceLedger::Global().Charge(PrincipalFromName("churn"),
+                                        "op.churn", cell);
+        obs::JournalEvent(EventType::kPoolExhausted, "churn");
+      });
+    }
+    for (auto& thread : wave) thread.join();
+  }
+  std::uint64_t calls = 0;
+  for (const auto& entry : ledger.Snapshot()) {
+    if (entry.op == "op.churn") calls += entry.cell.invocations;
+  }
+  EXPECT_EQ(calls, static_cast<std::uint64_t>(kThreads));
+  ledger.Clear();
+  obs::EventJournal::Global().Clear();
 }
 
 LedgerEntry MakeEntry(const std::string& who, const std::string& op,

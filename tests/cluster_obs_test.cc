@@ -465,6 +465,8 @@ TEST(SlowTraceStoreTest, RootSpansFeedTheGlobalStore) {
 
   {
     obs::Span fast = obs::Span::Root("test", "instant_root");
+    // Another trace's span, retained beside the slow trace's own.
+    obs::Span other("test", "other_trace_child");
   }
   {
     obs::Span slow = obs::Span::Root("test", "slept_root");

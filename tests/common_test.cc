@@ -1,15 +1,18 @@
 // Unit tests for the common substrate: Status/Result, serde, queues,
-// thread pool, rate limiter, metrics, generators' building blocks.
+// thread pool, rate limiter, metrics, per-thread slots, generators'
+// building blocks.
 #include <gtest/gtest.h>
 
 #include <future>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "common/metrics.h"
+#include "common/per_thread.h"
 #include "common/random.h"
 #include "common/rate_limiter.h"
 #include "common/serde.h"
@@ -544,6 +547,37 @@ TEST(RandomTest, ZipfSkewsTowardLowRanks) {
   // The 10 hottest ranks of 1000 must take far more than their uniform
   // share (1%); with s=1.1 it is ~45%.
   EXPECT_GT(low, kDraws / 5);
+}
+
+// ---- per-thread slots -------------------------------------------------------
+
+// An exited thread parks its slot for the next thread to claim: 2000
+// threads, at most 8 alive at once, leave at most 8 slots, and no count is
+// lost when a slot changes hands.
+TEST(PerThreadTest, SlotsFollowPeakConcurrencyNotThreadChurn) {
+  struct Tally {
+    int count = 0;
+  };
+  // Only the joined workers record, so no lease outlives this instance.
+  obs::PerThread<Tally> tallies;
+  constexpr int kThreads = 2000;
+  constexpr int kWave = 8;
+  for (int started = 0; started < kThreads; started += kWave) {
+    std::vector<std::thread> wave;
+    for (int i = 0; i < kWave; ++i) {
+      wave.emplace_back(
+          [&tallies] { tallies.With([](Tally& tally) { ++tally.count; }); });
+    }
+    for (auto& thread : wave) thread.join();
+  }
+  int slots = 0;
+  int total = 0;
+  tallies.ForEach([&](const Tally& tally) {
+    ++slots;
+    total += tally.count;
+  });
+  EXPECT_LE(slots, kWave);
+  EXPECT_EQ(total, kThreads);
 }
 
 // ---- stats ------------------------------------------------------------------

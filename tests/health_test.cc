@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/attribution.h"
 #include "common/event_journal.h"
 #include "common/health.h"
 #include "common/load.h"
@@ -35,7 +36,10 @@ namespace {
 using obs::EventJournal;
 using obs::EventType;
 using obs::HealthDetector;
+using obs::LedgerCell;
 using obs::PeerState;
+using obs::PrincipalFromName;
+using obs::ResourceLedger;
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
@@ -113,6 +117,35 @@ TEST(EventJournalTest, MergesThreadRingsSortedByTime) {
     EXPECT_LE(events[i - 1].t_us, events[i].t_us);
   }
   journal.Clear();
+}
+
+// Threads that exit hand their journal ring to later threads: 2000
+// threads, at most 8 alive at once, each recording one event (and charging
+// the ledger once, so each thread holds two slots), lose no event
+// unaccounted: every one is retained or counted as overwritten.
+TEST(EventJournalTest, EveryEventAccountedAcrossThreadChurn) {
+  auto& journal = EventJournal::Global();
+  journal.Clear();
+  constexpr int kThreads = 2000;
+  constexpr int kWave = 8;
+  for (int started = 0; started < kThreads; started += kWave) {
+    std::vector<std::thread> wave;
+    for (int i = 0; i < kWave; ++i) {
+      wave.emplace_back([] {
+        LedgerCell cell;
+        cell.invocations = 1;
+        ResourceLedger::Global().Charge(PrincipalFromName("churn"),
+                                        "op.churn", cell);
+        obs::JournalEvent(EventType::kPoolExhausted, "churn");
+      });
+    }
+    for (auto& thread : wave) thread.join();
+  }
+  EXPECT_EQ(EventsFor(EventType::kPoolExhausted, "churn").size() +
+                journal.Overwritten(),
+            static_cast<std::uint64_t>(kThreads));
+  journal.Clear();
+  ResourceLedger::Global().Clear();
 }
 
 TEST(EventJournalTest, JsonShape) {

@@ -4,7 +4,9 @@
 // and the end-to-end FaaS -> RPC -> action-method trace tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/metrics_registry.h"
@@ -188,6 +190,30 @@ TEST_F(ObservabilityTest, ChromeJsonExport) {
   EXPECT_NE(json.find("\"json-span\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_id\""), std::string::npos);
+}
+
+// The span store is a flight recorder: a slot keeps its newest
+// kSpansPerSlot spans, oldest first, and counts each overwrite.
+TEST_F(ObservabilityTest, SpanStoreKeepsTheNewestSpansPerSlot) {
+  constexpr std::size_t kExtra = 100;
+  constexpr std::size_t kTotal = TraceRecorder::kSpansPerSlot + kExtra;
+  const obs::Counter& dropped =
+      MetricsRegistry::Global().GetCounter("trace.dropped_spans");
+  const std::uint64_t dropped_before = dropped.value();
+  const obs::TraceContext parent{obs::NewTraceId(), obs::NewSpanId()};
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    obs::RecordSpan("test", std::to_string(i), parent, obs::NewSpanId(), 0, 1);
+  }
+  std::vector<std::size_t> kept;
+  for (const SpanRecord& s : TraceRecorder::Global().Snapshot()) {
+    if (s.trace_id == parent.trace_id) kept.push_back(std::stoul(s.name));
+  }
+  ASSERT_EQ(kept.size(), TraceRecorder::kSpansPerSlot);
+  // The kExtra oldest were overwritten; the newest is kept.
+  EXPECT_TRUE(std::is_sorted(kept.begin(), kept.end()));
+  EXPECT_EQ(kept.front(), kExtra);
+  EXPECT_EQ(kept.back(), kTotal - 1);
+  EXPECT_EQ(dropped.value() - dropped_before, kExtra);
 }
 
 // ---- Trace propagation over RPC (both transports) ---------------------------
