@@ -25,6 +25,11 @@ build/tools/glider_load examples/specs/ci_smoke.spec
 # unless its output is the input multiset, globally sorted.
 build/tools/glider_load examples/specs/sort_baseline.spec \
   examples/specs/sort_glider.spec
+# The Fig. 5 pair: the baseline reducer and the merge action both merge
+# through PairMerge, and their dictionaries must agree on entry count and
+# checksum.
+build/tools/glider_load examples/specs/reduce_baseline.spec \
+  examples/specs/reduce_glider.spec
 
 echo
 echo "== perf gate: contention + batching + load-curve vs committed baselines =="

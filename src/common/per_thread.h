@@ -6,9 +6,9 @@
 // record a thread claims a parked slot, or makes one if none is parked; at
 // thread exit it parks the slot and keeps its contents. So the slot count
 // follows the peak number of threads recording at once, not the number of
-// threads ever started (the active server starts a thread per method turn),
-// and a record takes only its own slot's mutex, which is uncontended.
-// ForEach and Clear walk every slot, live and parked.
+// threads ever started (the active server's method workers come and go
+// with load), and a record takes only its own slot's mutex, which is
+// uncontended. ForEach and Clear walk every slot, live and parked.
 //
 // The calling thread's slot is held in a thread_local keyed by T, so two
 // PerThread<T> of one T would share it. Keep one instance per T, and leak
@@ -41,12 +41,13 @@ class PerThread {
     return fn(slot.value);
   }
 
-  // Runs fn(const T&) on every slot. The walk holds the slot registry's
-  // lock, so fn must not record: a thread without a slot would wait on it.
+  // Runs fn(const T&) on every slot, under that slot's mutex, so fn must
+  // not record here (the slot may be its own). The walk holds no registry
+  // lock: other threads claim slots meanwhile, and one made after the walk
+  // began is not visited.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    std::scoped_lock lock(mu_);
-    for (const auto& slot : slots_) {
+    for (Slot* slot : SlotList()) {
       std::scoped_lock slot_lock(slot->mu);
       fn(std::as_const(slot->value));
     }
@@ -54,8 +55,7 @@ class PerThread {
 
   // Resets every slot to T{}.
   void Clear() {
-    std::scoped_lock lock(mu_);
-    for (const auto& slot : slots_) {
+    for (Slot* slot : SlotList()) {
       std::scoped_lock slot_lock(slot->mu);
       slot->value = T{};
     }
@@ -99,6 +99,16 @@ class PerThread {
   void Park(Slot* slot) {
     std::scoped_lock lock(mu_);
     parked_.push_back(slot);
+  }
+
+  // The slots made so far. Slots are never freed while this object lives,
+  // so the pointers stay valid after the registry lock is released.
+  std::vector<Slot*> SlotList() const {
+    std::scoped_lock lock(mu_);
+    std::vector<Slot*> list;
+    list.reserve(slots_.size());
+    for (const auto& slot : slots_) list.push_back(slot.get());
+    return list;
   }
 
   mutable std::mutex mu_;  // guards slots_ and parked_

@@ -108,36 +108,9 @@ std::vector<SpanRecord> TraceRecorder::Snapshot(std::uint64_t trace_id) const {
 
 void TraceRecorder::Clear() { spans_.Clear(); }
 
-std::string TraceRecorder::ToChromeJson() const {
-  const std::vector<SpanRecord> spans = Snapshot();
-  std::string out = "{\"traceEvents\":[";
-  char buf[256];
-  bool first = true;
-  for (const SpanRecord& s : spans) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":\"";
-    for (char c : s.name) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%" PRIu64
-                  ",\"dur\":%" PRIu64 ",\"pid\":1,\"tid\":%u,"
-                  "\"args\":{\"trace_id\":\"%" PRIx64 "\",\"span_id\":\"%" PRIx64
-                  "\",\"parent_span_id\":\"%" PRIx64 "\"}}",
-                  s.category, s.start_us, s.dur_us, s.tid, s.trace_id,
-                  s.span_id, s.parent_span_id);
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
-// ---- slow traces ------------------------------------------------------------
-
 namespace {
 
+// One span as a Chrome trace-event "X" object.
 void AppendSpanJson(std::string& out, const SpanRecord& s) {
   out += "{\"name\":\"";
   for (char c : s.name) {
@@ -157,6 +130,20 @@ void AppendSpanJson(std::string& out, const SpanRecord& s) {
 
 }  // namespace
 
+std::string TraceRecorder::ToChromeJson() const {
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  for (const SpanRecord& s : Snapshot()) {
+    if (!first) out.push_back(',');
+    first = false;
+    AppendSpanJson(out, s);
+  }
+  out += "]}";
+  return out;
+}
+
+// ---- slow traces ------------------------------------------------------------
+
 SlowTraceStore& SlowTraceStore::Global() {
   static SlowTraceStore* store = new SlowTraceStore();
   return *store;
@@ -174,31 +161,33 @@ SlowTraceStore::Options SlowTraceStore::options() const {
 
 void SlowTraceStore::OnRootSpanEnd(SpanRecord root,
                                    const TraceRecorder* recorder) {
-  std::scoped_lock lock(mu_);
-  auto& slot = by_name_[root.name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>();
-  // The threshold uses the p99 of *prior* samples: an op is judged against
-  // its history, not against a distribution it is itself part of.
-  const std::uint64_t p99 = slot->Count() == 0 ? 0 : slot->Percentile(99);
-  slot->Record(root.dur_us);
-  std::uint64_t threshold = options_.min_threshold_us;
-  if (p99 != 0) {
-    const double adaptive = options_.multiplier * static_cast<double>(p99);
-    if (adaptive > static_cast<double>(threshold)) {
-      threshold = static_cast<std::uint64_t>(adaptive);
-    }
-  }
-  if (root.dur_us <= threshold) return;
-
   SlowTrace slow;
-  slow.threshold_us = threshold;
+  {
+    std::scoped_lock lock(mu_);
+    auto& slot = by_name_[root.name];
+    if (!slot) slot = std::make_unique<LatencyHistogram>();
+    // The threshold uses the p99 of *prior* samples: an op is judged
+    // against its history, not against a distribution it is itself part of.
+    const std::uint64_t p99 = slot->Count() == 0 ? 0 : slot->Percentile(99);
+    slot->Record(root.dur_us);
+    slow.threshold_us = options_.min_threshold_us;
+    if (p99 != 0) {
+      const double adaptive = options_.multiplier * static_cast<double>(p99);
+      if (adaptive > static_cast<double>(slow.threshold_us)) {
+        slow.threshold_us = static_cast<std::uint64_t>(adaptive);
+      }
+    }
+    if (root.dur_us <= slow.threshold_us) return;
+  }
+  // The copy walks the recorder's slots, so it runs outside mu_: other
+  // roots are judged meanwhile.
   if (recorder != nullptr) {
-    // Copies only this trace's spans; the recorder's locks never take mu_.
     for (SpanRecord& s : recorder->Snapshot(root.trace_id)) {
       if (s.span_id != root.span_id) slow.spans.push_back(std::move(s));
     }
   }
   slow.root = std::move(root);
+  std::scoped_lock lock(mu_);
   ring_.push_back(std::move(slow));
   while (ring_.size() > options_.capacity) ring_.pop_front();
 }

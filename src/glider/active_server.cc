@@ -34,9 +34,11 @@ static std::uint64_t ThreadCpuMicros() {
 // thread). `cpu_clock` is the method thread's CPU clock: the watchdog
 // measures CPU burnt since `cpu_at_progress_us` (bumped on every channel
 // touch), so "stalled" means burning CPU without yielding — a method parked
-// on a channel accrues no CPU and is never flagged. If the thread exits
-// between the run_start check and the clock read, clock_gettime fails and
-// the scan skips the slot.
+// on a channel accrues no CPU and is never flagged. A worker outlives its
+// method: if the method ends between the run_start check and the clock
+// read, that one scan reads a stale mark, the clock of a worker gone idle
+// or on to another turn, until MethodRunScope clears it. A retired
+// worker's clock fails clock_gettime, and the scan skips the slot.
 struct SlotRunState {
   std::atomic<std::uint64_t> run_start_us{0};  // wall clock; 0 = idle
   std::atomic<std::uint64_t> cpu_at_progress_us{0};
@@ -411,11 +413,12 @@ ActiveServer::ActiveServer(Options options,
 
 Status ActiveServer::MethodRunner::Submit(std::function<void()> task) {
   std::vector<std::thread> reaped;
+  bool queued = false;
   {
     std::scoped_lock lock(mu_);
     if (shutdown_) return Status::Closed("active server shutting down");
-    // Pull out threads whose bodies already completed; joined below,
-    // outside the lock (the join itself only waits for thread exit).
+    // Pull out retired workers; joined below, outside the lock (the join
+    // itself only waits for thread exit).
     reaped.reserve(finished_.size());
     for (const std::uint64_t id : finished_) {
       auto it = threads_.find(id);
@@ -425,17 +428,39 @@ Status ActiveServer::MethodRunner::Submit(std::function<void()> task) {
       }
     }
     finished_.clear();
-    const std::uint64_t id = next_id_++;
-    threads_.emplace(id, std::thread([this, id, task = std::move(task)] {
-                       task();
-                       std::scoped_lock done_lock(mu_);
-                       finished_.push_back(id);
-                     }));
+    if (queue_.size() < idle_) {
+      queue_.push_back(std::move(task));
+      queued = true;
+    } else {
+      const std::uint64_t id = next_id_++;
+      threads_.emplace(id, std::thread(&MethodRunner::Work, this, id,
+                                       std::move(task)));
+    }
   }
+  if (queued) cv_.notify_one();
   for (auto& t : reaped) {
     if (t.joinable()) t.join();
   }
   return Status::Ok();
+}
+
+void ActiveServer::MethodRunner::Work(std::uint64_t id,
+                                      std::function<void()> task) {
+  while (task) {
+    task();
+    task = nullptr;  // the turn's captures die before the worker idles
+    std::unique_lock lock(mu_);
+    ++idle_;
+    cv_.wait_for(lock, kIdleLinger,
+                 [this] { return !queue_.empty() || shutdown_; });
+    --idle_;
+    if (!queue_.empty()) {
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    } else {
+      finished_.push_back(id);
+    }
+  }
 }
 
 void ActiveServer::MethodRunner::Shutdown() {
@@ -445,6 +470,8 @@ void ActiveServer::MethodRunner::Shutdown() {
     shutdown_ = true;
     to_join.swap(threads_);
   }
+  // Idle workers wake, take what is queued, and exit once it is empty.
+  cv_.notify_all();
   for (auto& [id, t] : to_join) {
     if (t.joinable()) t.join();
   }
@@ -454,7 +481,7 @@ ActiveServer::~ActiveServer() { Stop(); }
 
 void ActiveServer::Stop() {
   // Stop accepting requests before tearing down action state. Joining the
-  // method threads here (not just in the destructor) matters: the
+  // method workers here (not just in the destructor) matters: the
   // transport's listener entry holds a shared_ptr to this service, so the
   // destructor alone can never run while the listener exists. Abort open
   // streams first: a method blocked on a stream the client abandoned
@@ -548,7 +575,7 @@ void ActiveServer::WatchdogLoop() {
       if (run_start == 0) continue;  // idle
       if (run.flagged.load(std::memory_order_relaxed)) continue;
       // CPU burnt by the method thread since it last touched a channel. A
-      // clock_gettime failure means the thread already exited — skip.
+      // clock_gettime failure means the worker already retired — skip.
       timespec ts{};
       const clockid_t clock = run.cpu_clock.load(std::memory_order_relaxed);
       if (::clock_gettime(clock, &ts) != 0) continue;

@@ -8,9 +8,10 @@
 // Execution follows the paper's decoupling of network work from action work:
 //   * network workers (the transport's handler pool) decode stream
 //     operations and move them onto per-stream channels — never blocking;
-//   * action threads (one per running method, reaped as methods finish)
-//     consume the channels by running action methods, one method at a time
-//     per action (ActionMonitor), with optional interleaving.
+//   * action threads (cached method workers, started on demand and retired
+//     after an idle linger) consume the channels by running action methods,
+//     one method at a time per action (ActionMonitor), with optional
+//     interleaving.
 //
 // Every method turn — create, delete, stat, write and read — goes through
 // one dispatch path (Dispatch): queue on the slot, take the slot's turn,
@@ -31,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,11 +87,12 @@ class ActiveServer : public net::ServiceRouter,
   // internal store client handed to actions.
   Status Start(net::Transport& transport, const std::string& metadata_address);
 
-  // Stops accepting requests and joins every action-method thread.
-  // Idempotent. Owners must call this (directly or via the destructor of
-  // the last external reference being unreachable — the transport's
-  // listener entry holds a shared_ptr back to the service, so the server
-  // cannot be destroyed while it is still listening).
+  // Stops accepting requests, runs the method turns already queued, and
+  // joins every method worker. Idempotent. Owners must call this (directly
+  // or via the destructor of the last external reference being unreachable
+  // — the transport's listener entry holds a shared_ptr back to the
+  // service, so the server cannot be destroyed while it is still
+  // listening).
   void Stop();
 
   const std::string& address() const { return address_; }
@@ -144,23 +147,36 @@ class ActiveServer : public net::ServiceRouter,
   std::shared_ptr<ActionRegistry> registry_;
   std::shared_ptr<Metrics> metrics_;
 
-  // Spawns one tracked thread per action-method execution. Threads report
-  // completion so later Submits reap (join) them incrementally instead of
-  // accumulating one joinable thread per method until shutdown. Not a fixed
-  // pool: methods are long-lived and may open streams to *other* actions
-  // (e.g. the genomics sampler feeding the manager), which a fixed pool can
-  // deadlock on when every thread blocks on a method it cannot schedule.
+  // Runs method turns on cached workers. A turn goes to an idle worker, or
+  // to a newly started one when none is idle; a worker idle for
+  // kIdleLinger retires, and a later Submit (or Shutdown) joins it. Not a
+  // fixed pool: methods are long-lived and may open streams to *other*
+  // actions (e.g. the genomics sampler feeding the manager), which a fixed
+  // pool can deadlock on when every thread blocks on a method it cannot
+  // schedule. So a turn waits in the queue only if an idle worker will take
+  // it: queued turns never outnumber idle workers.
   class MethodRunner {
    public:
     ~MethodRunner() { Shutdown(); }
     Status Submit(std::function<void()> task);
+    // Refuses later turns, lets the workers run the queued ones, and joins
+    // every worker.
     void Shutdown();
 
    private:
+    static constexpr std::chrono::seconds kIdleLinger{2};
+
+    // A worker's body: runs `task`, then queued turns, until it has idled
+    // for kIdleLinger or the runner shuts down with nothing queued.
+    void Work(std::uint64_t id, std::function<void()> task);
+
     std::mutex mu_;
+    std::condition_variable cv_;  // wakes idle workers
+    std::deque<std::function<void()>> queue_;
+    std::size_t idle_ = 0;  // workers waiting on cv_
     std::uint64_t next_id_ = 0;
     std::map<std::uint64_t, std::thread> threads_;
-    std::vector<std::uint64_t> finished_;  // ids whose bodies completed
+    std::vector<std::uint64_t> finished_;  // ids of retired workers
     bool shutdown_ = false;
   };
 

@@ -1,5 +1,6 @@
 #include "glider/stream_channel.h"
 
+#include <string>
 #include <utility>
 
 #include "common/metrics_registry.h"
@@ -17,6 +18,15 @@ void ReportChannelWait(const char* kind, std::uint64_t start_us) {
   if (start_us == 0) return;
   obs::SamplingProfiler::Global().AddWaitSample(
       kind, obs::TraceNowMicros() - start_us);
+}
+
+// The answer to an operation whose seq was already served or is already
+// pending: buffering it would park its ack or read forever, or drop it
+// unanswered.
+Status BadSeq(const char* op, std::uint64_t seq) {
+  return Status::InvalidArgument(std::string("stream ") + op + " seq " +
+                                 std::to_string(seq) +
+                                 " already served or pending");
 }
 
 std::uint64_t WaitStart() {
@@ -154,6 +164,8 @@ void StreamChannel::AsyncPush(std::uint64_t seq, DataTask task,
     if (aborted_) {
       fire.admits.emplace_back(std::move(on_admitted),
                                Status::Closed("stream aborted"));
+    } else if (seq < next_push_seq_ || pushes_.contains(seq)) {
+      fire.admits.emplace_back(std::move(on_admitted), BadSeq("push", seq));
     } else if (seq == next_push_seq_ && pushes_.empty() &&
                (items_.size() < capacity_ ||
                 consumers_.contains(next_pop_seq_))) {
@@ -194,9 +206,16 @@ void StreamChannel::AsyncPushAll(std::uint64_t first_seq,
   bool wake = false;
   {
     std::scoped_lock lock(mu_);
+    const auto pending = pushes_.lower_bound(first_seq);
     if (aborted_) {
       fire.admits.emplace_back(std::move(on_admitted),
                                Status::Closed("stream aborted"));
+    } else if (first_seq < next_push_seq_ ||
+               (pending != pushes_.end() &&
+                pending->first - first_seq < tasks.size())) {
+      // The batch is refused whole: none of its tasks enters the channel.
+      fire.admits.emplace_back(std::move(on_admitted),
+                               BadSeq("push", first_seq));
     } else {
       std::size_t i = 0;
       if (first_seq == next_push_seq_ && pushes_.empty()) {
@@ -257,6 +276,8 @@ void StreamChannel::AsyncPop(std::uint64_t seq, ConsumeFn consumer) {
       // would never be matched: answer now instead of parking forever.
       fire.deliveries.emplace_back(std::move(consumer),
                                    Status::Closed("stream aborted"));
+    } else if (seq < next_pop_seq_ || consumers_.contains(seq)) {
+      fire.deliveries.emplace_back(std::move(consumer), BadSeq("pop", seq));
     } else {
       consumers_.emplace(seq, std::move(consumer));
       while (true) {

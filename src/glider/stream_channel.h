@@ -102,20 +102,23 @@ class StreamChannel {
 
   // Admits `task` as operation `seq` (0-based, contiguous). Out-of-order
   // arrivals are buffered; `on_admitted` fires when the task enters the
-  // queue (immediately or once space frees).
+  // queue (immediately or once space frees). A seq already admitted or
+  // already pending is answered with kInvalidArgument at once.
   void AsyncPush(std::uint64_t seq, DataTask task, AdmitFn on_admitted);
 
   // Doorbell push: admits `tasks` as operations first_seq .. first_seq +
   // tasks.size() - 1 under one lock acquisition with at most one consumer
   // wakeup. `on_admitted` acks the batch as a whole — it fires once the
   // LAST task has entered the queue (so a client window counts the batch
-  // as one in-flight unit).
+  // as one in-flight unit). A batch holding any seq already admitted or
+  // already pending is refused whole with kInvalidArgument.
   void AsyncPushAll(std::uint64_t first_seq, std::vector<DataTask> tasks,
                     AdmitFn on_admitted);
 
   // Requests the item for read operation `seq`. The consumer fires with the
   // task, or with kClosed at end-of-stream / teardown (at once if the
-  // channel was already aborted).
+  // channel was already aborted). A seq already served or already parked
+  // is answered with kInvalidArgument at once.
   void AsyncPop(std::uint64_t seq, ConsumeFn consumer);
 
   // --- action-thread side (may block) ---

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <queue>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "glider/client/action_node.h"
@@ -21,57 +22,23 @@ std::vector<std::string> ConfigLines(ByteSpan config) {
   return lines;
 }
 
-Result<std::pair<std::int64_t, std::int64_t>> ParsePair(
-    std::string_view line) {
-  const auto comma = line.find(',');
-  if (comma == std::string_view::npos) {
-    return Status::InvalidArgument("pair line without comma");
-  }
-  std::int64_t key = 0;
-  std::int64_t value = 0;
-  auto r1 = std::from_chars(line.data(), line.data() + comma, key);
-  auto r2 = std::from_chars(line.data() + comma + 1,
-                            line.data() + line.size(), value);
-  if (r1.ec != std::errc{} || r2.ec != std::errc{}) {
-    return Status::InvalidArgument("bad pair line");
-  }
-  return std::pair<std::int64_t, std::int64_t>(key, value);
-}
-
 }  // namespace
 
 // ---- MergeAction ------------------------------------------------------------
 
 void MergeAction::onWrite(core::ActionInputStream& in, core::ActionContext&) {
-  auto lines = in.Lines();
-  std::string line;
-  while (true) {
-    auto more = lines.NextLine(line);
-    if (!more.ok() || !*more) break;
-    auto pair = ParsePair(line);
-    if (!pair.ok()) continue;  // tolerate stray lines like the paper's merge
-    result_[pair->first] += pair->second;
-  }
+  // Stray lines are skipped, like the paper's merge.
+  (void)sums_.Add([&in] { return in.ReadChunk(); });
 }
 
 void MergeAction::onRead(core::ActionOutputStream& out, core::ActionContext&) {
-  std::string batch;
-  for (const auto& [key, value] : result_) {
-    batch += std::to_string(key);
-    batch.push_back(',');
-    batch += std::to_string(value);
-    batch.push_back('\n');
-    if (batch.size() >= 64 * 1024) {
-      if (!out.Write(batch).ok()) return;
-      batch.clear();
-    }
-  }
-  if (!batch.empty()) (void)out.Write(batch);
+  (void)sums_.WriteTo(
+      [&out](std::string_view batch) { return out.Write(batch); });
   out.Close();
 }
 
 std::uint64_t MergeAction::StateBytes() const {
-  return result_.size() * (sizeof(std::int64_t) * 2);
+  return sums_.keys() * (sizeof(std::int64_t) * 2);
 }
 
 // ---- FilterAction -----------------------------------------------------------
@@ -378,20 +345,13 @@ void TreeMergeAction::onRead(core::ActionOutputStream& out,
   }
   auto writer = parent->OpenWriter();
   if (!writer.ok()) return;
-  std::string batch;
-  for (const auto& [key, value] : result_) {
-    batch += std::to_string(key);
-    batch.push_back(',');
-    batch += std::to_string(value);
-    batch.push_back('\n');
-    if (batch.size() >= 64 * 1024) {
-      if (!(*writer)->Write(batch).ok()) return;
-      batch.clear();
-    }
+  if (!sums_.WriteTo([&writer](std::string_view batch) {
+             return (*writer)->Write(batch);
+           }).ok() ||
+      !(*writer)->Close().ok()) {
+    return;
   }
-  if (!batch.empty() && !(*writer)->Write(batch).ok()) return;
-  if (!(*writer)->Close().ok()) return;
-  (void)out.Write(std::to_string(result_.size()) + "\n");
+  (void)out.Write(std::to_string(sums_.keys()) + "\n");
   out.Close();
 }
 
@@ -446,12 +406,10 @@ void CheckpointMergeAction::onCreate(core::ActionContext& ctx) {
   if (checkpoint_path_.empty()) return;
   auto saved = ctx.store().GetValue(checkpoint_path_);
   if (!saved.ok()) return;  // no checkpoint yet
-  std::istringstream in(saved->ToString());
-  std::string line;
-  while (std::getline(in, line)) {
-    auto pair = ParsePair(line);
-    if (pair.ok()) result_[pair->first] = pair->second;
-  }
+  // The checkpoint is one chunk; its keys are distinct, so merging them
+  // into the empty sums restores them.
+  (void)sums_.Add(
+      [&saved] { return Result<Buffer>(std::exchange(*saved, Buffer{})); });
 }
 
 void CheckpointMergeAction::onWrite(core::ActionInputStream& in,
@@ -461,20 +419,20 @@ void CheckpointMergeAction::onWrite(core::ActionInputStream& in,
   while (true) {
     auto more = lines.NextLine(line);
     if (!more.ok() || !*more) break;
-    if (line == "!checkpoint") {
-      std::string payload;
-      for (const auto& [key, value] : result_) {
-        payload += std::to_string(key) + "," + std::to_string(value) + "\n";
-      }
-      const Status saved =
-          ctx.store().PutValue(checkpoint_path_, AsBytes(payload));
-      if (!saved.ok()) {
-        GLIDER_LOG(kWarn, "ckpt-merge") << saved.ToString();
-      }
+    if (line != "!checkpoint") {
+      sums_.AddLine(line);
       continue;
     }
-    auto pair = ParsePair(line);
-    if (pair.ok()) result_[pair->first] += pair->second;
+    std::string payload;
+    (void)sums_.WriteTo([&payload](std::string_view batch) {
+      payload += batch;
+      return Status::Ok();
+    });
+    const Status saved =
+        ctx.store().PutValue(checkpoint_path_, AsBytes(payload));
+    if (!saved.ok()) {
+      GLIDER_LOG(kWarn, "ckpt-merge") << saved.ToString();
+    }
   }
 }
 

@@ -21,11 +21,13 @@
 #include <vector>
 
 #include "glider/action.h"
+#include "workloads/pair_merge.h"
 #include "workloads/record_run.h"
 
 namespace glider::workloads {
 
-// Aggregates "key,value" lines into a map; read serializes "key,sum" lines.
+// Aggregates "key,value" lines per key; read serializes "key,sum" lines,
+// keys ascending. Every write stream merges into one PairMerge.
 class MergeAction : public core::Action {
  public:
   void onWrite(core::ActionInputStream& in, core::ActionContext& ctx) override;
@@ -33,7 +35,7 @@ class MergeAction : public core::Action {
   std::uint64_t StateBytes() const override;
 
  protected:
-  std::map<std::int64_t, std::int64_t> result_;
+  PairMerge sums_;
 };
 
 // Config: "<backing-path>\n<token>". onRead streams only the lines of the

@@ -5,7 +5,6 @@
 // workload), and a request node for the open-loop load generator.
 #include <atomic>
 #include <charconv>
-#include <map>
 #include <mutex>
 
 #include "faas/s3like.h"
@@ -14,6 +13,7 @@
 #include "workloads/generators.h"
 #include "workloads/genomics.h"
 #include "workloads/graph.h"
+#include "workloads/pair_merge.h"
 #include "workloads/sort.h"
 
 namespace glider::workloads {
@@ -285,8 +285,8 @@ class GeneratePairsNode : public WorkloadNode {
 
 // --------------------------------------------------------------------------
 // faas.reduce_files: the Fig. 5 baseline reduce stage. One FaaS worker
-// ingests every `<input>{i}` file in full, aggregates, and writes the
-// dictionary to `output`.
+// ingests every `<input>{i}` file in full, aggregates through the merge
+// action's kernel (PairMerge), and writes the dictionary to `output`.
 
 class ReduceFilesNode : public WorkloadNode {
  public:
@@ -307,36 +307,24 @@ class ReduceFilesNode : public WorkloadNode {
     return RunFaasStage(
         ctx, 1, /*internal_client=*/false,
         [&](std::size_t, nk::StoreClient& store) -> Status {
-          std::map<std::int64_t, std::int64_t> result;
+          PairMerge sums;
           for (std::size_t i = 0; i < inputs_; ++i) {
             GLIDER_ASSIGN_OR_RETURN(
                 auto reader, nk::FileReader::Open(store, Expand(input_, i)));
-            nk::LineScanner scanner([&] { return reader->ReadChunk(); });
-            std::string line;
-            while (true) {
-              GLIDER_ASSIGN_OR_RETURN(auto more, scanner.NextLine(line));
-              if (!more) break;
-              const auto comma = line.find(',');
-              if (comma == std::string::npos) continue;
-              std::int64_t key = 0;
-              std::int64_t value = 0;
-              std::from_chars(line.data(), line.data() + comma, key);
-              std::from_chars(line.data() + comma + 1,
-                              line.data() + line.size(), value);
-              result[key] += value;
-              ++stats().ops;
-            }
+            GLIDER_ASSIGN_OR_RETURN(
+                const std::uint64_t merged,
+                sums.Add([&reader] { return reader->ReadChunk(); }));
+            stats().ops += merged;
           }
           GLIDER_RETURN_IF_ERROR(
               store.CreateNode(output_, nk::NodeType::kFile).status());
           GLIDER_ASSIGN_OR_RETURN(auto writer,
                                   nk::FileWriter::Open(store, output_));
-          std::string payload;
-          for (const auto& [key, value] : result) {
-            payload += std::to_string(key) + "," + std::to_string(value) + "\n";
-          }
-          GLIDER_RETURN_IF_ERROR(writer->Write(payload));
-          stats().bytes += payload.size();
+          GLIDER_RETURN_IF_ERROR(
+              sums.WriteTo([&](std::string_view batch) {
+                stats().bytes += batch.size();
+                return writer->Write(batch);
+              }));
           return writer->Close();
         });
   }

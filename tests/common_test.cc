@@ -3,7 +3,10 @@
 // building blocks.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -578,6 +581,59 @@ TEST(PerThreadTest, SlotsFollowPeakConcurrencyNotThreadChurn) {
   });
   EXPECT_LE(slots, kWave);
   EXPECT_EQ(total, kThreads);
+}
+
+// A walk holds no registry lock: a thread's first record, which makes its
+// slot, completes while a ForEach callback is still running.
+TEST(PerThreadTest, FirstRecordDoesNotWaitForAWalk) {
+  struct Tally {
+    int count = 0;
+  };
+  // Only the joined threads record, so no lease outlives this instance.
+  obs::PerThread<Tally> tallies;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool holder_recorded = false;
+  bool release_holder = false;
+  bool newcomer_recorded = false;
+  // The holder keeps its slot claimed (not parked) during the walk, so the
+  // newcomer below must make a slot of its own.
+  std::thread holder([&] {
+    tallies.With([](Tally& tally) { ++tally.count; });
+    std::unique_lock lock(mu);
+    holder_recorded = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release_holder; });
+  });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return holder_recorded; });
+  }
+
+  bool recorded_during_walk = false;
+  std::thread newcomer;
+  tallies.ForEach([&](const Tally&) {
+    newcomer = std::thread([&] {
+      tallies.With([](Tally& tally) { ++tally.count; });
+      std::scoped_lock lock(mu);
+      newcomer_recorded = true;
+      cv.notify_all();
+    });
+    std::unique_lock lock(mu);
+    recorded_during_walk = cv.wait_for(lock, std::chrono::seconds(1),
+                                       [&] { return newcomer_recorded; });
+  });
+  newcomer.join();
+  {
+    std::scoped_lock lock(mu);
+    release_holder = true;
+  }
+  cv.notify_all();
+  holder.join();
+  EXPECT_TRUE(recorded_during_walk);
+  int total = 0;
+  tallies.ForEach([&](const Tally& tally) { total += tally.count; });
+  EXPECT_EQ(total, 2);
 }
 
 // ---- stats ------------------------------------------------------------------

@@ -2,6 +2,10 @@
 // admission/consumption, end-of-stream, abort, and interleaving yield.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "glider/stream_channel.h"
@@ -13,6 +17,38 @@ DataTask Task(std::string_view text) {
   DataTask t;
   t.data = Buffer::FromString(text);
   return t;
+}
+
+// The one answer an ack or a read callback delivers, awaited for at most a
+// second: a callback that is parked, or dropped unanswered, never answers.
+template <typename T>
+class Answer {
+ public:
+  std::function<void(T)> Callback() {
+    return [this](T value) {
+      std::scoped_lock lock(mu_);
+      value_.emplace(std::move(value));
+      cv_.notify_all();
+    };
+  }
+
+  std::optional<T> Wait() {
+    std::unique_lock lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(1),
+                 [this] { return value_.has_value(); });
+    return std::move(value_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<T> value_;
+};
+
+std::vector<DataTask> Tasks(std::initializer_list<std::string_view> texts) {
+  std::vector<DataTask> tasks;
+  for (const std::string_view text : texts) tasks.push_back(Task(text));
+  return tasks;
 }
 
 TEST(StreamChannelTest, InOrderPushPop) {
@@ -324,6 +360,101 @@ TEST(StreamChannelTest, NonInterleavedPopHoldsMonitor) {
   method_a.join();
   method_b.join();
   EXPECT_TRUE(b_entered.load());
+}
+
+// A push whose seq was already admitted is refused at once, alone or in a
+// batch, and the channel keeps serving the stream.
+TEST(StreamChannelTest, StalePushFailsAtOnce) {
+  Answer<Status> stale;
+  Answer<Status> stale_batch;
+  StreamChannel channel(4);
+  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPush(0, Task("again"), stale.Callback());
+  const auto answer = stale.Wait();
+  ASSERT_TRUE(answer.has_value()) << "a stale push parked its ack";
+  EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
+
+  channel.AsyncPushAll(0, Tasks({"x", "y"}), stale_batch.Callback());
+  const auto batch_answer = stale_batch.Wait();
+  ASSERT_TRUE(batch_answer.has_value()) << "a stale batch parked its ack";
+  EXPECT_EQ(batch_answer->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(channel.size(), 1u);  // neither entered the queue
+
+  channel.AsyncPush(1, Task("b"), [](Status) {});
+  auto popped = channel.BlockingPopAll(nullptr, 4);
+  ASSERT_TRUE(popped.ok());
+  ASSERT_EQ(popped->size(), 2u);
+  EXPECT_EQ((*popped)[0].data.ToString(), "a");
+  EXPECT_EQ((*popped)[1].data.ToString(), "b");
+}
+
+// A push whose seq is already pending is refused at once rather than
+// dropped unanswered; a batch overlapping a pending seq is refused whole.
+TEST(StreamChannelTest, DuplicatePushFailsAtOnce) {
+  Answer<Status> pending;
+  Answer<Status> duplicate;
+  Answer<Status> overlapping;
+  StreamChannel channel(4);
+  channel.AsyncPush(1, Task("b"), pending.Callback());  // waits for seq 0
+  channel.AsyncPush(1, Task("dup"), duplicate.Callback());
+  const auto answer = duplicate.Wait();
+  ASSERT_TRUE(answer.has_value()) << "a duplicate push went unanswered";
+  EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
+
+  channel.AsyncPushAll(0, Tasks({"x", "y"}), overlapping.Callback());
+  const auto batch_answer = overlapping.Wait();
+  ASSERT_TRUE(batch_answer.has_value())
+      << "an overlapping batch went unanswered";
+  EXPECT_EQ(batch_answer->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(channel.size(), 0u);  // no part of the batch was admitted
+
+  channel.AsyncPush(0, Task("a"), [](Status) {});
+  const auto admitted = pending.Wait();
+  ASSERT_TRUE(admitted.has_value());
+  EXPECT_TRUE(admitted->ok());
+  auto popped = channel.BlockingPopAll(nullptr, 4);
+  ASSERT_TRUE(popped.ok());
+  ASSERT_EQ(popped->size(), 2u);
+  EXPECT_EQ((*popped)[0].data.ToString(), "a");
+  EXPECT_EQ((*popped)[1].data.ToString(), "b");
+}
+
+// A read whose seq was already served is refused at once instead of
+// parking forever.
+TEST(StreamChannelTest, StalePopFailsAtOnce) {
+  Answer<Result<DataTask>> served;
+  Answer<Result<DataTask>> stale;
+  StreamChannel channel(4);
+  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPop(0, served.Callback());
+  const auto first = served.Wait();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->ok());
+  EXPECT_EQ((*first)->data.ToString(), "a");
+
+  channel.AsyncPop(0, stale.Callback());
+  const auto answer = stale.Wait();
+  ASSERT_TRUE(answer.has_value()) << "a stale read parked";
+  EXPECT_EQ(answer->status().code(), StatusCode::kInvalidArgument);
+}
+
+// A read whose seq is already parked is refused at once rather than
+// dropped unanswered; the parked one still gets its data.
+TEST(StreamChannelTest, DuplicatePopFailsAtOnce) {
+  Answer<Result<DataTask>> parked;
+  Answer<Result<DataTask>> duplicate;
+  StreamChannel channel(4);
+  channel.AsyncPop(0, parked.Callback());
+  channel.AsyncPop(0, duplicate.Callback());
+  const auto answer = duplicate.Wait();
+  ASSERT_TRUE(answer.has_value()) << "a duplicate read went unanswered";
+  EXPECT_EQ(answer->status().code(), StatusCode::kInvalidArgument);
+
+  channel.AsyncPush(0, Task("a"), [](Status) {});
+  const auto delivered = parked.Wait();
+  ASSERT_TRUE(delivered.has_value());
+  ASSERT_TRUE(delivered->ok());
+  EXPECT_EQ((*delivered)->data.ToString(), "a");
 }
 
 }  // namespace

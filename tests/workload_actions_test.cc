@@ -1,12 +1,13 @@
 // Tests of the evaluation action library (workloads/actions.*) running on a
-// live cluster: merge, filter, noop, sorter (and its RecordRun sort kernel),
-// sampler+manager (including the action-to-action stream), reader, and
-// checkpointing merge.
+// live cluster: merge (and its PairMerge kernel), filter, noop, sorter (and
+// its RecordRun sort kernel), sampler+manager (including the
+// action-to-action stream), reader, and checkpointing merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "testing/cluster.h"
 #include "workloads/actions.h"
 #include "workloads/generators.h"
+#include "workloads/pair_merge.h"
 #include "workloads/record_run.h"
 
 namespace glider::workloads {
@@ -89,6 +91,158 @@ TEST_F(WorkloadActionsTest, MergeAggregatesAndToleratesJunk) {
   ASSERT_TRUE(node.ok());
   ASSERT_TRUE(WriteAll(*node, "5,5\nnot-a-pair\n5,-2\n-3,7\n").ok());
   EXPECT_EQ(ReadAll(*node), "-3,7\n5,3\n");
+}
+
+// The merge kernel against a std::map reference: signed pairs, junk and
+// empty lines, a final line with and without '\n', cut into chunks at
+// random offsets with many 1-byte chunks.
+TEST(PairMergeTest, SumsLikeStdMapOverSplitChunks) {
+  static constexpr std::string_view kJunk[] = {
+      "not-a-pair", "x,1", "1,y", ",", ",5", "5,", "--3,1", "+4,1",
+      " 6,1", "9223372036854775808,1", "1,-9223372036854775809"};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SplitMix64 rng(seed);
+    std::map<std::int64_t, std::int64_t> reference;
+    std::uint64_t pairs = 0;
+    // Half the keys repeat (sums), half are mostly distinct (more than one
+    // 64 KiB serialisation batch).
+    const auto pair_line = [&] {
+      const std::int64_t key =
+          rng.NextBelow(2) == 0
+              ? static_cast<std::int64_t>(rng.NextBelow(64)) - 32
+              : static_cast<std::int64_t>(rng.NextBelow(1ull << 41)) -
+                    (1ll << 40);
+      const std::int64_t value =
+          static_cast<std::int64_t>(rng.NextBelow(1ull << 33)) - (1ll << 32);
+      reference[key] += value;
+      ++pairs;
+      return std::to_string(key) + "," + std::to_string(value);
+    };
+    std::string text;
+    for (int i = 0; i < 8000; ++i) {
+      const std::uint64_t pick = rng.NextBelow(8);
+      if (pick == 0) {
+        // An empty line.
+      } else if (pick == 1) {
+        text += kJunk[rng.NextBelow(std::size(kJunk))];
+      } else {
+        text += pair_line();
+      }
+      text.push_back('\n');
+    }
+    text += pair_line();
+    if (seed % 2 == 0) text.push_back('\n');
+
+    const Buffer whole(text);
+    std::deque<Buffer> chunks;
+    for (std::size_t off = 0; off < whole.size();) {
+      const std::size_t pick = rng.NextBelow(4);
+      const std::size_t n = pick < 2   ? 1
+                            : pick < 3 ? 1 + rng.NextBelow(40)
+                                       : 1 + rng.NextBelow(400);
+      chunks.push_back(whole.Slice(off, std::min(n, whole.size() - off)));
+      off += n;
+    }
+    PairMerge merge;
+    auto merged = merge.Add([&chunks]() -> Result<Buffer> {
+      if (chunks.empty()) return Buffer{};
+      Buffer next = std::move(chunks.front());
+      chunks.pop_front();
+      return next;
+    });
+    ASSERT_TRUE(merged.ok());
+    EXPECT_EQ(*merged, pairs);
+    EXPECT_EQ(merge.keys(), reference.size());
+
+    std::string expected;
+    for (const auto& [key, sum] : reference) {
+      expected += std::to_string(key) + "," + std::to_string(sum) + "\n";
+    }
+    ASSERT_GT(expected.size(), 64u * 1024);
+    std::string dictionary;
+    std::size_t batches = 0;
+    ASSERT_TRUE(merge
+                    .WriteTo([&](std::string_view batch) {
+                      dictionary += batch;
+                      ++batches;
+                      return Status::Ok();
+                    })
+                    .ok());
+    EXPECT_GT(batches, 1u);
+    EXPECT_TRUE(dictionary == expected);
+  }
+}
+
+// Two streams feed one interleaved merge action in alternating pieces, so
+// each onWrite turn waits mid-line while the other stream's chunk merges:
+// a line split across chunks must be joined from its own stream's bytes.
+TEST_F(WorkloadActionsTest, MergeJoinsSplitLinesWithinEachStream) {
+  auto node = core::ActionNode::Create(*client_, "/mi", "glider.merge",
+                                       /*interleave=*/true);
+  ASSERT_TRUE(node.ok());
+  // Every key is distinct, so StateBytes() (16 bytes a key) counts the
+  // lines merged so far. Stream 0 holds keys >= 0, stream 1 keys < 0.
+  SplitMix64 rng(9);
+  std::map<std::int64_t, std::int64_t> reference;
+  std::string streams[2];
+  for (int s = 0; s < 2; ++s) {
+    for (std::int64_t i = 0; streams[s].size() < 100 * 1024; ++i) {
+      const std::int64_t key = s == 0 ? i : -1 - i;
+      const auto value = static_cast<std::int64_t>(rng.NextBelow(1ull << 40));
+      reference[key] = value;
+      streams[s] += std::to_string(key) + "," + std::to_string(value) + "\n";
+    }
+  }
+  streams[1].pop_back();  // the second stream ends without '\n'
+
+  auto writer1 = node->OpenWriter();
+  auto writer2 = node->OpenWriter();
+  ASSERT_TRUE(writer1.ok());
+  ASSERT_TRUE(writer2.ok());
+  core::ActionWriter* writers[2] = {writer1->get(), writer2->get()};
+  const std::size_t chunk = cluster_->options().chunk_size;
+  // Lines ended within a stream's first n bytes.
+  const auto ended = [](std::string_view stream, std::size_t n) {
+    return static_cast<std::uint64_t>(
+        std::count(stream.begin(), stream.begin() + n, '\n'));
+  };
+  constexpr std::size_t kPiece = 5 * 1024;
+  std::size_t written[2] = {0, 0};
+  while (written[0] < streams[0].size() || written[1] < streams[1].size()) {
+    for (int s = 0; s < 2; ++s) {
+      if (written[s] == streams[s].size()) continue;
+      const std::string_view piece =
+          std::string_view(streams[s]).substr(written[s], kPiece);
+      ASSERT_TRUE(writers[s]->Write(piece).ok());
+      written[s] += piece.size();
+      // Whole chunks are sent as they fill; wait until both turns merged
+      // every line those chunks end.
+      const std::uint64_t sent =
+          16 * (ended(streams[0], written[0] / chunk * chunk) +
+                ended(streams[1], written[1] / chunk * chunk));
+      std::uint64_t state = 0;
+      for (int poll = 0; poll < 10'000 && state != sent; ++poll) {
+        auto bytes = node->StateBytes();
+        ASSERT_TRUE(bytes.ok());
+        state = *bytes;
+        if (state != sent) {
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+        }
+      }
+      ASSERT_EQ(state, sent);
+    }
+  }
+  for (core::ActionWriter* writer : writers) ASSERT_TRUE(writer->Close().ok());
+
+  std::string expected;
+  for (const auto& [key, sum] : reference) {
+    expected += std::to_string(key) + "," + std::to_string(sum) + "\n";
+  }
+  EXPECT_TRUE(ReadAll(*node) == expected);
+  auto state = node->StateBytes();
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, 16 * reference.size());
 }
 
 TEST_F(WorkloadActionsTest, FilterProxiesBackingFile) {
