@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the building blocks: message
-// framing, serde, blocking queue, stream channel, and RPC round-trips over
-// both transports. main() additionally emits BENCH_profiler_overhead.json
+// framing, serde, stream channel, and RPC round-trips over both
+// transports. main() additionally emits BENCH_profiler_overhead.json
 // (tools/bench_diff.py format) comparing the traced RPC round-trip with and
 // without the 99 Hz sampling profiler.
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 
 #include <future>
 
-#include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/profiler.h"
 #include "common/prometheus.h"
@@ -91,15 +90,6 @@ void BM_SerdeWriteRead(benchmark::State& state) {
 BENCHMARK(BM_SerdeWriteRead);
 
 // ---- queues -------------------------------------------------------------------
-
-void BM_BlockingQueuePingPong(benchmark::State& state) {
-  BlockingQueue<int> q(64);
-  for (auto _ : state) {
-    (void)q.Push(1);
-    benchmark::DoNotOptimize(q.Pop());
-  }
-}
-BENCHMARK(BM_BlockingQueuePingPong);
 
 void BM_StreamChannelPushPop(benchmark::State& state) {
   core::StreamChannel channel(64);

@@ -200,8 +200,10 @@ echo
 echo "== health smoke: daemon --health-ms + node kill + glider_cli health =="
 # Boots metadata (heartbeating every 100 ms, Prometheus endpoint on) plus a
 # storage daemon, hard-kills the storage daemon, and asserts that (a)
-# `glider_cli health` against the metadata daemon's board reports it dead
-# and (b) /metrics exposes the per-peer glider_health_phi gauges.
+# `glider_cli health` against the metadata daemon's board reports it dead,
+# (b) /metrics exposes the per-peer glider_health_phi and
+# glider_clock_offset_us gauges, and (c) `glider_cli health` without an
+# address runs its own heartbeat rounds and prints the metadata row alive.
 HEALTH_DIR="build/health-smoke"
 rm -rf "${HEALTH_DIR}"
 mkdir -p "${HEALTH_DIR}"
@@ -241,6 +243,14 @@ python3 -c "import urllib.request,sys; sys.stdout.write(
   >"${HEALTH_DIR}/metrics.txt"
 grep -q "glider_health_phi" "${HEALTH_DIR}/metrics.txt" \
   || { echo "health smoke: /metrics has no glider_health_phi gauges"; exit 1; }
+grep -q "glider_clock_offset_us" "${HEALTH_DIR}/metrics.txt" \
+  || { echo "health smoke: /metrics has no glider_clock_offset_us gauges"; exit 1; }
+build/tools/glider_cli --metadata "${META_ADDR}" health \
+  >"${HEALTH_DIR}/table.txt" \
+  || { echo "health smoke: glider_cli health (table) failed"; exit 1; }
+grep -Eq "^${META_ADDR} +metadata +alive " "${HEALTH_DIR}/table.txt" \
+  || { echo "health smoke: metadata row not alive in the health table";
+       cat "${HEALTH_DIR}/table.txt"; exit 1; }
 echo "health smoke: dead peer detected, $(grep -c glider_health_phi \
   "${HEALTH_DIR}/metrics.txt") phi gauge lines on /metrics"
 stop_daemons

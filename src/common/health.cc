@@ -16,6 +16,16 @@ namespace {
 // Upper clamp on phi: erfc underflows to 0 around z ~ 38 and the exact
 // value past "one in 10^40" carries no information anyway.
 constexpr double kPhiMax = 40.0;
+// Inter-arrival samples kept per peer (sliding window).
+constexpr std::size_t kWindow = 64;
+// Sigma floors: sigma = max(observed, kMinStdFraction * mean, kMinStdUs).
+// The relative floor dominates for fast heartbeats, the absolute one guards
+// sub-millisecond cadences in tests.
+constexpr double kMinStdFraction = 1.0 / 3.0;
+constexpr double kMinStdUs = 1000.0;
+// Interval assumed until two heartbeats have arrived (the first heartbeat
+// carries no interval).
+constexpr double kInitialIntervalUs = 500.0 * 1000.0;
 
 std::uint64_t NowOr(std::uint64_t now_us) {
   return now_us != 0 ? now_us : TraceNowMicros();
@@ -47,7 +57,7 @@ double HealthDetector::PhiLocked(const Peer& peer,
   const std::uint64_t elapsed =
       now_us > peer.last_us ? now_us - peer.last_us : 0;
 
-  double mean = static_cast<double>(options_.initial_interval_us);
+  double mean = kInitialIntervalUs;
   double var = 0.0;
   if (!peer.intervals.empty()) {
     double sum = 0.0;
@@ -61,10 +71,8 @@ double HealthDetector::PhiLocked(const Peer& peer,
     }
     var /= static_cast<double>(peer.intervals.size());
   }
-  double std_dev = std::sqrt(var);
-  std_dev = std::max(std_dev, options_.min_std_fraction * mean);
-  std_dev = std::max(std_dev, static_cast<double>(options_.min_std_us));
-  if (std_dev <= 0.0) std_dev = 1.0;
+  const double std_dev =
+      std::max({std::sqrt(var), kMinStdFraction * mean, kMinStdUs});
 
   // phi = -log10(P(interval > elapsed)) under N(mean, std_dev^2). The
   // survival function via erfc keeps precision in the far tail, which is
@@ -94,11 +102,9 @@ PeerState HealthDetector::EvaluateLocked(const std::string& address,
   if (next != peer.state) {
     const PeerState prev = peer.state;
     peer.state = next;
-    if (options_.journal_transitions) {
-      JournalEvent(TransitionEvent(next), address,
-                   std::string("from ") + PeerStateName(prev),
-                   static_cast<std::int64_t>(phi * 1000.0));
-    }
+    JournalEvent(TransitionEvent(next), address,
+                 std::string("from ") + PeerStateName(prev),
+                 static_cast<std::int64_t>(phi * 1000.0));
   }
   return peer.state;
 }
@@ -110,12 +116,12 @@ void HealthDetector::Heartbeat(const std::string& address,
   Peer& peer = peers_[address];
   if (peer.heartbeats > 0 && now_us > peer.last_us) {
     const std::uint64_t interval = now_us - peer.last_us;
-    if (peer.intervals.size() < options_.window) {
+    if (peer.intervals.size() < kWindow) {
       peer.intervals.push_back(interval);
     } else {
       peer.intervals[peer.next] = interval;
     }
-    peer.next = (peer.next + 1) % std::max<std::size_t>(options_.window, 1);
+    peer.next = (peer.next + 1) % kWindow;
   }
   peer.last_us = std::max(peer.last_us, now_us);
   ++peer.heartbeats;

@@ -25,9 +25,9 @@
 // heals back to alive on the next heartbeat. Transitions are recorded in
 // the EventJournal (kPeerAlive/kPeerSuspect/kPeerDead).
 //
-// Heartbeats come from two sources: the ClusterMonitor/HealthMonitor poll
-// loops call Heartbeat() on every successful kNodeSnapshot/kHeartbeat reply,
-// and the dedicated kHeartbeat opcode keeps otherwise idle links observed.
+// Heartbeats come from ClusterMonitor rounds: every answered kNodeSnapshot
+// (Poll) or kHeartbeat probe is one. The dedicated kHeartbeat opcode keeps
+// links nobody polls observed (the daemon's --health-ms loop).
 #pragma once
 
 #include <cstdint>
@@ -52,19 +52,6 @@ class HealthDetector {
   struct Options {
     double phi_suspect = 3.0;  // ~1 in 10^3 chance of a healthy gap
     double phi_dead = 8.0;     // ~1 in 10^8
-    // Inter-arrival samples kept per peer (sliding window).
-    std::size_t window = 64;
-    // Sigma floors: sigma = max(observed, min_std_fraction * mean,
-    // min_std_us). The relative floor dominates for fast heartbeats, the
-    // absolute one guards sub-millisecond cadences in tests.
-    double min_std_fraction = 1.0 / 3.0;
-    std::uint64_t min_std_us = 1000;
-    // Interval assumed until two heartbeats have arrived (the first
-    // heartbeat carries no interval).
-    std::uint64_t initial_interval_us = 500 * 1000;
-    // Record kPeerAlive/kPeerSuspect/kPeerDead transitions in the global
-    // EventJournal.
-    bool journal_transitions = true;
   };
 
   struct PeerSnapshot {
@@ -109,7 +96,7 @@ class HealthDetector {
 
  private:
   struct Peer {
-    std::vector<std::uint64_t> intervals;  // ring, <= options_.window
+    std::vector<std::uint64_t> intervals;  // ring, <= kWindow
     std::size_t next = 0;
     std::uint64_t last_us = 0;
     std::uint64_t heartbeats = 0;
@@ -127,11 +114,11 @@ class HealthDetector {
   std::map<std::string, Peer> peers_;
 };
 
-// Latest health board of this process, published by whichever monitor loop
-// runs here (glider_daemon's HealthMonitor) and served by kHealthDump so
-// any node can answer `glider_cli health`. Decoupled from the detector:
-// the board is a plain snapshot store, so dump handlers never touch
-// detector locks.
+// Latest health board of this process, published by the started
+// ClusterMonitor running here (glider_daemon --health-ms) and served by
+// kHealthDump so any node can answer `glider_cli health`. Decoupled from
+// the detector: the board is a plain snapshot store, so dump handlers never
+// touch detector locks.
 class HealthBoard {
  public:
   static HealthBoard& Global();

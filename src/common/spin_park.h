@@ -1,5 +1,5 @@
 // Adaptive spin-then-park policy shared by the blocking primitives
-// (ThreadPool workers, BlockingQueue, StreamChannel action-side waits).
+// (ThreadPool workers, StreamChannel action-side waits).
 //
 // Parking on a condition variable costs a futex round trip plus two context
 // switches (~5-10us on the bench machines); most waits under load resolve

@@ -1001,9 +1001,27 @@ void ActiveServer::DoStreamClose(StreamCloseRequest req, net::Message request,
       }
     }
     // End-of-stream arrives in-band after the last write (seq ordering).
+    // A refused eos (a stale or duplicate seq) can never end the stream:
+    // abort it, so the method and its drain return and release the slot's
+    // turn, and answer the close with the refusal. The channel fires this
+    // only from inside one of its own calls, so its stream is alive.
     DataTask eos;
     eos.eos = true;
-    stream->channel.AsyncPush(req.seq, std::move(eos), [](Status) {});
+    stream->channel.AsyncPush(
+        req.seq, std::move(eos), [raw = stream.get()](Status admitted) {
+          if (admitted.ok()) return;
+          net::Responder close_responder;
+          net::Message close_request;
+          {
+            std::scoped_lock lock(raw->close_mu);
+            close_responder = std::move(raw->close_responder);
+            close_request = raw->close_request;
+          }
+          raw->channel.Abort();
+          if (close_responder.valid()) {
+            close_responder.SendError(close_request, admitted);
+          }
+        });
     if (already_done) {
       // Method finished early (it may not consume the whole stream).
       net::Responder r = std::move(responder);

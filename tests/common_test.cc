@@ -1,17 +1,14 @@
-// Unit tests for the common substrate: Status/Result, serde, queues,
-// thread pool, rate limiter, metrics, per-thread slots, generators'
-// building blocks.
+// Unit tests for the common substrate: Status/Result, serde, thread pool,
+// rate limiter, metrics, per-thread slots, generators' building blocks.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <future>
 #include <mutex>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "common/buffer_pool.h"
 #include "common/bytes.h"
 #include "common/metrics.h"
@@ -286,120 +283,6 @@ TEST(SerdeTest, RestConsumesRemainder) {
   ASSERT_TRUE(r.U8().ok());
   EXPECT_EQ(AsText(r.Rest()), "tail");
   EXPECT_TRUE(r.AtEnd());
-}
-
-// ---- BlockingQueue ----------------------------------------------------------
-
-class BlockingQueueTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BlockingQueueTest, FifoUnderConcurrency) {
-  BlockingQueue<int> q(GetParam());
-  constexpr int kItems = 2000;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.Push(i).ok());
-    q.Close();
-  });
-  int expected = 0;
-  while (true) {
-    auto item = q.Pop();
-    if (!item.ok()) break;
-    EXPECT_EQ(*item, expected++);
-  }
-  EXPECT_EQ(expected, kItems);
-  producer.join();
-}
-
-TEST_P(BlockingQueueTest, CloseDrainsThenReportsClosed) {
-  BlockingQueue<int> q(GetParam());
-  ASSERT_TRUE(q.Push(1).ok());
-  q.Close();
-  EXPECT_EQ(q.Push(2).code(), StatusCode::kClosed);
-  EXPECT_EQ(*q.Pop(), 1);
-  EXPECT_EQ(q.Pop().status().code(), StatusCode::kClosed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, BlockingQueueTest,
-                         ::testing::Values(1, 2, 16, 1024));
-
-TEST(BlockingQueueTest, TryVariantsReportState) {
-  BlockingQueue<int> q(1);
-  EXPECT_EQ(q.TryPop().status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(q.TryPush(1).ok());
-  EXPECT_EQ(q.TryPush(2).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(*q.TryPop(), 1);
-}
-
-TEST(BlockingQueueTest, PushAllPopAllRoundTrip) {
-  BlockingQueue<int> q(8);
-  ASSERT_TRUE(q.PushAll({1, 2, 3, 4, 5}).ok());
-  auto batch = q.PopAll();
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(*batch, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-TEST(BlockingQueueTest, PopAllHonorsMaxItems) {
-  BlockingQueue<int> q(8);
-  ASSERT_TRUE(q.PushAll({1, 2, 3, 4, 5}).ok());
-  auto first = q.PopAll(/*max_items=*/2);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, (std::vector<int>{1, 2}));
-  auto rest = q.PopAll(/*max_items=*/16);
-  ASSERT_TRUE(rest.ok());
-  EXPECT_EQ(*rest, (std::vector<int>{3, 4, 5}));
-}
-
-TEST(BlockingQueueTest, PushAllLargerThanCapacityAdmitsInWaves) {
-  BlockingQueue<int> q(4);
-  std::vector<int> items(200);
-  std::iota(items.begin(), items.end(), 0);
-  std::thread producer([&] {
-    EXPECT_TRUE(q.PushAll(items).ok());
-    q.Close();
-  });
-  std::vector<int> got;
-  while (true) {
-    auto batch = q.PopAll();
-    if (!batch.ok()) {
-      EXPECT_EQ(batch.status().code(), StatusCode::kClosed);
-      break;
-    }
-    got.insert(got.end(), batch->begin(), batch->end());
-  }
-  producer.join();
-  EXPECT_EQ(got, items);  // FIFO survives the wave-by-wave admission
-}
-
-TEST(BlockingQueueTest, PopAllBlocksUntilItemsArrive) {
-  BlockingQueue<int> q(8);
-  std::atomic<bool> popped{false};
-  std::thread consumer([&] {
-    auto batch = q.PopAll();
-    popped = true;
-    ASSERT_TRUE(batch.ok());
-    EXPECT_FALSE(batch->empty());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(popped.load());  // empty queue: consumer parked
-  ASSERT_TRUE(q.PushAll({7, 8}).ok());
-  consumer.join();
-  EXPECT_TRUE(popped.load());
-}
-
-TEST(BlockingQueueTest, PushAllAfterCloseReportsClosed) {
-  BlockingQueue<int> q(4);
-  q.Close();
-  EXPECT_EQ(q.PushAll({1, 2}).code(), StatusCode::kClosed);
-  EXPECT_EQ(q.PopAll().status().code(), StatusCode::kClosed);
-}
-
-TEST(BlockingQueueTest, WouldBlockOnPopPredicate) {
-  BlockingQueue<int> q(4);
-  EXPECT_TRUE(q.WouldBlockOnPop());
-  ASSERT_TRUE(q.Push(1).ok());
-  EXPECT_FALSE(q.WouldBlockOnPop());
-  (void)q.Pop();
-  q.Close();
-  EXPECT_FALSE(q.WouldBlockOnPop());  // closed never blocks
 }
 
 // ---- ThreadPool -------------------------------------------------------------

@@ -4,11 +4,13 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 
 #include "glider/client/action_node.h"
 #include "net/rpc_client.h"
 #include "testing/cluster.h"
+#include "workloads/actions.h"
 
 namespace glider {
 namespace {
@@ -257,6 +259,53 @@ TEST_F(FailureTest, DoubleCloseAndUseAfterCloseAreSafe) {
   EXPECT_TRUE((*writer)->Close().ok());
   EXPECT_TRUE((*writer)->Close().ok());  // idempotent
   EXPECT_EQ((*writer)->Write("y").code(), StatusCode::kClosed);
+}
+
+// A close whose end-of-stream seq the channel refuses (here the seq of the
+// last write again) fails at once instead of parking, and frees the slot:
+// the refused close aborts its stream, so the non-interleaved method
+// returns and the next writer gets the slot's turn.
+TEST_F(FailureTest, RefusedCloseFailsAndFreesTheSlot) {
+  workloads::RegisterWorkloadActions();
+  auto node = ActionNode::Create(*client_, "/refused", "glider.merge");
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  auto conn = cluster_->transport().Connect(node->info().slot.address,
+                                            nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  core::StreamOpenRequest open;
+  open.slot = node->info().slot.block;
+  open.mode = core::StreamMode::kWrite;
+  auto opened =
+      net::Call<core::StreamOpenResponse>(**conn, core::kStreamOpen, open);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  core::StreamWriteRequest write;
+  write.stream_id = opened->stream_id;
+  write.seq = 0;
+  write.data = Buffer::FromString("a,1\n");
+  ASSERT_TRUE(net::CallVoid(**conn, core::kStreamWrite, write).ok());
+
+  core::StreamCloseRequest close;
+  close.stream_id = opened->stream_id;
+  close.seq = 0;  // already taken by the write
+  net::Message request;
+  request.opcode = core::kStreamClose;
+  request.payload = close.Encode();
+  auto closed = (*conn)->Call(std::move(request));
+  ASSERT_EQ(closed.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the refused close was never answered";
+  auto reply = closed.get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(net::ToResult(std::move(reply).value()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto writer = node->OpenWriter();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->Write("b,2\n").ok());
+  EXPECT_TRUE((*writer)->Close().ok());
+  // The fixture's teardown then joins every method worker: none may still
+  // wait on the refused stream.
 }
 
 TEST_F(FailureTest, DeleteWhileNotStreamingIsClean) {

@@ -5,13 +5,16 @@
 // over a jittered 10s steady state), the load/hotspot tracker, the
 // kHeartbeat/kHealthDump/kEventDump opcodes, and end-to-end ClusterMonitor
 // behavior over a MiniCluster: degraded polling when the metadata server is
-// partitioned away, and alive -> suspect -> dead detection after a hard
-// server kill.
+// partitioned away, alive -> suspect -> dead detection after a hard server
+// kill, heartbeat rounds, and the started (background) watcher.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -618,6 +621,214 @@ TEST(ClusterMonitorHealthTest, SteadyStateHasNoFalsePositives) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   EXPECT_GT(polls, 5);
+}
+
+// A heartbeat round fills the rows a poll does, minus the snapshot: each
+// answering server's load report comes from its kHeartbeat reply, and an
+// unreachable server keeps its row.
+TEST(ClusterMonitorHealthTest, HeartbeatRowsCarryLoadReports) {
+  workloads::RegisterWorkloadActions();
+  auto cluster_or = testing::MiniCluster::Start(SmallCluster());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto& cluster = **cluster_or;
+
+  ClusterMonitor monitor(&cluster.transport(), cluster.metadata_address());
+  auto beat = monitor.Heartbeat();
+  ASSERT_TRUE(beat.ok()) << beat.status().ToString();
+  auto polled = monitor.Poll();
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_FALSE(beat->stale_discovery);
+  ASSERT_EQ(beat->servers.size(), 3u);  // metadata, data, active
+  ASSERT_EQ(polled->servers.size(), beat->servers.size());
+  for (std::size_t i = 0; i < beat->servers.size(); ++i) {
+    const auto& row = beat->servers[i];
+    const auto& poll_row = polled->servers[i];
+    SCOPED_TRACE(row.server.address);
+    EXPECT_EQ(row.server.address, poll_row.server.address);
+    EXPECT_EQ(row.is_metadata, poll_row.is_metadata);
+    EXPECT_EQ(row.is_metadata, i == 0);
+    ASSERT_TRUE(row.status.ok()) << row.status.ToString();
+    EXPECT_EQ(row.health, PeerState::kAlive);
+    EXPECT_GE(row.load_index, 0.0);
+    EXPECT_GE(row.hotspot_slots, 0);
+    EXPECT_GE(poll_row.hotspot_slots, 0);
+    EXPECT_TRUE(row.snapshot.metrics.gauges.empty());
+  }
+
+  const std::string victim = cluster.data(0).address();
+  ASSERT_TRUE(cluster.KillData(0).ok());
+  auto after = monitor.Heartbeat();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->servers.size(), 3u);  // the registration dangles
+  for (const auto& row : after->servers) {
+    EXPECT_EQ(row.status.ok(), row.server.address != victim)
+        << row.server.address;
+    if (row.server.address == victim) {
+      EXPECT_EQ(row.hotspot_slots, -1);
+    }
+  }
+}
+
+// A server restarted on its address registers again, so discovery lists
+// the address twice; a round keeps both rows but feeds the detector once.
+TEST(ClusterMonitorHealthTest, AddressListedTwiceBeatsOncePerRound) {
+  workloads::RegisterWorkloadActions();
+  auto cluster_or = testing::MiniCluster::Start(SmallCluster());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto& cluster = **cluster_or;
+  const std::string twice = cluster.data(0).address();
+  auto conn = cluster.transport().Connect(cluster.metadata_address(), nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  nk::RegisterServerRequest again;
+  again.address = twice;
+  ASSERT_TRUE(net::Call<nk::RegisterServerResponse>(
+                  **conn, nk::kRegisterServer, again)
+                  .ok());
+
+  ClusterMonitor monitor(&cluster.transport(), cluster.metadata_address());
+  constexpr int kRounds = 3;
+  for (int i = 0; i < kRounds; ++i) {
+    auto beat = monitor.Heartbeat();
+    ASSERT_TRUE(beat.ok()) << beat.status().ToString();
+    EXPECT_EQ(std::count_if(beat->servers.begin(), beat->servers.end(),
+                            [&](const auto& row) {
+                              return row.server.address == twice;
+                            }),
+              2);
+  }
+  auto polled = monitor.Poll();
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(polled->servers.size(), 4u);
+  for (const auto& peer : monitor.health().Snapshot()) {
+    EXPECT_EQ(peer.heartbeats, kRounds + 1u) << peer.address;
+  }
+}
+
+// ---- The started watcher ----------------------------------------------------
+
+std::size_t ProcessThreads() {
+  std::size_t count = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++count;
+  }
+  return count;
+}
+
+// Polls `done` every 5 ms until it holds or `limit` passes.
+bool WaitFor(const std::function<bool()>& done,
+             std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+std::optional<HealthDetector::PeerSnapshot> BoardRow(
+    const std::string& address) {
+  for (auto& peer : obs::HealthBoard::Global().Snapshot()) {
+    if (peer.address == address) return peer;
+  }
+  return std::nullopt;
+}
+
+// What glider_daemon --health-ms runs: the started monitor marks every
+// server alive on the process board, walks a killed server to dead within
+// the bound of KillActiveWalksAliveSuspectDead, publishes the phi and
+// clock gauges, and Stop() takes down its one thread and the board.
+TEST(ClusterMonitorLoopTest, BoardTracksAKillUntilStop) {
+  workloads::RegisterWorkloadActions();
+  auto cluster_or = testing::MiniCluster::Start(SmallCluster());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto& cluster = **cluster_or;
+  const std::string victim = cluster.active(0).address();
+  const std::vector<std::string> servers = {
+      cluster.metadata_address(), cluster.data(0).address(), victim};
+
+  ClusterMonitor monitor(&cluster.transport(), cluster.metadata_address());
+  const std::size_t threads_before = ProcessThreads();
+  ASSERT_TRUE(monitor.Start(std::chrono::milliseconds(20)).ok());
+  EXPECT_EQ(monitor.Start(std::chrono::milliseconds(20)).code(),
+            StatusCode::kAlreadyExists);
+  const auto all_alive = [&] {
+    for (const std::string& address : servers) {
+      const auto row = BoardRow(address);
+      // A few intervals, so the detector's mean is the loop's cadence.
+      if (!row || row->state != PeerState::kAlive || row->heartbeats < 8) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(WaitFor(all_alive, std::chrono::seconds(10)))
+      << obs::HealthBoard::Global().ToJson();
+  EXPECT_TRUE(obs::HealthBoard::Global().running());
+  EXPECT_EQ(ProcessThreads(), threads_before + 1);
+  const std::uint64_t mean_interval = BoardRow(victim)->mean_interval_us;
+  ASSERT_GT(mean_interval, 0u);
+
+  const std::uint64_t killed_at = obs::TraceNowMicros();
+  ASSERT_TRUE(cluster.KillActive(0).ok());
+  const auto victim_dead = [&] {
+    const auto row = BoardRow(victim);
+    return row && row->state == PeerState::kDead;
+  };
+  ASSERT_TRUE(WaitFor(victim_dead, std::chrono::seconds(20)))
+      << obs::HealthBoard::Global().ToJson();
+  const std::uint64_t dead_at = obs::TraceNowMicros();
+  EXPECT_LE(dead_at - killed_at, 4 * mean_interval + 1000 * 1000)
+      << "detection took " << (dead_at - killed_at) << "us at mean interval "
+      << mean_interval << "us";
+
+  auto& registry = obs::MetricsRegistry::Global();
+  EXPECT_GE(registry.GetGauge("health.phi." + victim).value(),
+            static_cast<std::int64_t>(monitor.health().options().phi_dead *
+                                      1000.0));
+  bool saw_clock_gauge = false;
+  for (const auto& [name, value] : registry.Snapshot().gauges) {
+    if (name.rfind("clock.offset_us.", 0) == 0) saw_clock_gauge = true;
+  }
+  EXPECT_TRUE(saw_clock_gauge);
+
+  // The kill took the victim's own threads; Stop() takes the loop's.
+  const std::size_t threads_running = ProcessThreads();
+  monitor.Stop();
+  EXPECT_FALSE(obs::HealthBoard::Global().running());
+  EXPECT_TRUE(obs::HealthBoard::Global().Snapshot().empty());
+  EXPECT_TRUE(WaitFor([&] { return ProcessThreads() == threads_running - 1; },
+                      std::chrono::seconds(1)))
+      << ProcessThreads() << " threads, " << threads_running << " before Stop";
+}
+
+// Rounds serialise on one mutex, so a started monitor can be polled from
+// another thread (the suite runs under TSan in CI).
+TEST(ClusterMonitorLoopTest, PollWhileStarted) {
+  workloads::RegisterWorkloadActions();
+  auto cluster_or = testing::MiniCluster::Start(SmallCluster());
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto& cluster = **cluster_or;
+
+  ClusterMonitor monitor(&cluster.transport(), cluster.metadata_address());
+  const std::size_t threads_before = ProcessThreads();
+  ASSERT_TRUE(monitor.Start(std::chrono::milliseconds(1)).ok());
+  for (int i = 0; i < 20; ++i) {
+    auto sample = monitor.Poll();
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    ASSERT_EQ(sample->servers.size(), 3u);
+    for (const auto& server : sample->servers) {
+      EXPECT_TRUE(server.status.ok())
+          << server.server.address << ": " << server.status.ToString();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  monitor.Stop();
+  EXPECT_FALSE(obs::HealthBoard::Global().running());
+  EXPECT_TRUE(WaitFor([&] { return ProcessThreads() == threads_before; },
+                      std::chrono::seconds(1)))
+      << ProcessThreads() << " threads, " << threads_before << " before Start";
 }
 
 }  // namespace

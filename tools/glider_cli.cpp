@@ -344,10 +344,11 @@ int Ledger(net::TcpTransport& transport, const std::string& metadata,
   return 0;
 }
 
-// Polls every server a few times via the metadata server (so the failure
-// detector accumulates heartbeat intervals) and prints a per-node health /
-// load table. With `address` non-empty, instead dumps that server's own
-// health board JSON (populated when the daemon runs with --health-ms).
+// Heartbeats every server a few times via the metadata server (so the
+// failure detector accumulates heartbeat intervals) and prints a per-node
+// health / load table. With `address` non-empty, instead dumps that
+// server's own health board JSON (populated when the daemon runs with
+// --health-ms).
 int Health(net::TcpTransport& transport, const std::string& metadata,
            const std::string& address) {
   if (!address.empty()) {
@@ -357,12 +358,12 @@ int Health(net::TcpTransport& transport, const std::string& metadata,
   ClusterMonitor monitor(&transport, metadata,
                          net::LinkModel::Unshaped(LinkClass::kControl,
                                                   nullptr));
-  Result<ClusterMonitor::ClusterSample> sample = Status::Unavailable("unpolled");
-  constexpr int kPolls = 3;
-  for (int i = 0; i < kPolls; ++i) {
-    sample = monitor.Poll();
+  Result<ClusterMonitor::ClusterSample> sample = Status::Unavailable("no round");
+  constexpr int kRounds = 3;
+  for (int i = 0; i < kRounds; ++i) {
+    sample = monitor.Heartbeat();
     if (!sample.ok()) return Fail(sample.status());
-    if (i + 1 < kPolls) {
+    if (i + 1 < kRounds) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
     }
   }

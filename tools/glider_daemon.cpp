@@ -21,7 +21,7 @@
 #include "common/time_series.h"
 #include "common/trace.h"
 #include "glider/active_server.h"
-#include "glider/health_monitor.h"
+#include "glider/cluster_monitor.h"
 #include "net/http_metrics.h"
 #include "net/rpc_obs.h"
 #include "net/tcp_transport.h"
@@ -247,21 +247,20 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  // --health-ms N runs an in-process HealthMonitor: heartbeat every server
-  // at this cadence, feed a phi-accrual failure detector, and publish the
-  // verdicts as "health.phi.<address>" gauges (Prometheus: glider_health_phi)
-  // plus the health board served by kHealthDump (`glider_cli health <addr>`).
-  std::unique_ptr<HealthMonitor> health;
+  // --health-ms N runs an in-process ClusterMonitor loop: heartbeat every
+  // server at this cadence, feed a phi-accrual failure detector, and
+  // publish the verdicts as "health.phi.<address>" gauges (Prometheus:
+  // glider_health_phi) plus the health board served by kHealthDump
+  // (`glider_cli health <addr>`).
+  std::unique_ptr<ClusterMonitor> health;
   const long health_ms = std::stol(FlagOr(flags, "health-ms", "0"));
   if (health_ms > 0) {
-    HealthMonitor::Options hopts;
-    hopts.interval = std::chrono::milliseconds(health_ms);
     // A metadata daemon discovers through itself; other roles through the
     // metadata server they registered with.
     const std::string hub =
         role == "metadata" ? listener->address() : metadata;
-    health = std::make_unique<HealthMonitor>(&transport, hub, hopts);
-    const Status started = health->Start();
+    health = std::make_unique<ClusterMonitor>(&transport, hub);
+    const Status started = health->Start(std::chrono::milliseconds(health_ms));
     if (!started.ok()) {
       std::fprintf(stderr, "health: %s\n", started.ToString().c_str());
       return 1;
