@@ -8,10 +8,10 @@
 // stream table + per-slot locking (active server) the aggregate rate
 // should scale with the thread count.
 //
-// Writes run with doorbell batching (write_batch_chunks): each client
-// gathers kWriteBatchChunks small chunks into one kStreamWriteBatch RPC, so
-// the per-op framing, channel lock and consumer wakeup are paid once per
-// batch — the hot-path amortization this bench gates in CI.
+// Writes carry kWriteBatchChunks small chunks per kStreamWrite frame
+// (write_batch_chunks), so the per-op framing, channel lock and consumer
+// wakeup are paid once per frame — the hot-path amortization this bench
+// gates in CI.
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -42,9 +42,9 @@ Result<double> RunMixed(std::size_t threads) {
   options.blocks_per_server = 256;
   options.chunk_size = kChunkBytes;  // every Write() becomes one chunk
   options.write_batch_chunks = kWriteBatchChunks;
-  // A doorbell batch admits as a unit; give the channel room for a full
-  // client window of batches so acks stay inline (capacity scales with the
-  // batch size, preserving backpressure at the same multiple).
+  // A write frame admits as a unit; give the channel room for a full
+  // client window of frames so acks stay inline (capacity scales with the
+  // frame size, preserving backpressure at the same multiple).
   options.channel_capacity = kWriteBatchChunks * 4;
   auto cluster = testing::MiniCluster::Start(options);
   GLIDER_RETURN_IF_ERROR(cluster.status());

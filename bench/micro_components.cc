@@ -96,9 +96,9 @@ void BM_StreamChannelPushPop(benchmark::State& state) {
   std::uint64_t seq = 0;
   DataPlaneReporter reporter(state);
   for (auto _ : state) {
-    core::DataTask task;
-    task.data = BufferPool::Global().Acquire(64);
-    channel.AsyncPush(seq++, std::move(task), [](Status) {});
+    std::vector<core::DataTask> tasks(1);
+    tasks.front().data = BufferPool::Global().Acquire(64);
+    channel.AsyncPushAll(seq++, std::move(tasks), [](Status) {});
     benchmark::DoNotOptimize(channel.BlockingPopAll(nullptr, 1));
   }
 }

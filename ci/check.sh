@@ -27,9 +27,10 @@ build/tools/glider_load examples/specs/sort_baseline.spec \
   examples/specs/sort_glider.spec
 # The Fig. 5 pair: the baseline reducer and the merge action both merge
 # through PairMerge, and their dictionaries must agree on entry count and
-# checksum.
+# checksum. The batched Glider variant sends 4 chunks per write frame, so a
+# multi-chunk frame is checked here too.
 build/tools/glider_load examples/specs/reduce_baseline.spec \
-  examples/specs/reduce_glider.spec
+  examples/specs/reduce_glider.spec examples/specs/reduce_glider_batched.spec
 
 echo
 echo "== perf gate: contention + batching + load-curve vs committed baselines =="

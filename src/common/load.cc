@@ -13,6 +13,16 @@ namespace glider::obs {
 
 namespace {
 
+// Load-index weights: per queued task, per busy core, per millisecond of
+// server-side RPC p99, and per unit buffer-pool miss fraction.
+constexpr double kWeightQueue = 1.0;
+constexpr double kWeightCpu = 4.0;
+constexpr double kWeightP99Ms = 0.25;
+constexpr double kWeightPoolMiss = 2.0;
+// No hotspots unless the node's slots burned at least this fraction of one
+// core over the window (filters idle-noise ratios).
+constexpr double kHotspotMinUtilization = 0.05;
+
 // Parses "active.slot<i>.cpu_us" -> slot index; -1 for everything else.
 int SlotCpuIndex(const std::string& name) {
   constexpr const char* kPrefix = "active.slot";
@@ -38,11 +48,6 @@ int SlotCpuIndex(const std::string& name) {
 LoadTracker& LoadTracker::Global() {
   static LoadTracker* tracker = new LoadTracker();
   return *tracker;
-}
-
-void LoadTracker::SetOptions(Options options) {
-  std::scoped_lock lock(mu_);
-  options_ = options;
 }
 
 LoadTracker::LoadSnapshot LoadTracker::Current() const {
@@ -120,7 +125,7 @@ LoadTracker::LoadSnapshot LoadTracker::ComputeLocked(std::uint64_t now_us) {
 
     // Hotspots: slot share of the windowed CPU vs the fair share.
     if (!slot_cpu.empty() && total_cpu > 0.0 &&
-        out.cpu_utilization >= options_.hotspot_min_utilization) {
+        out.cpu_utilization >= kHotspotMinUtilization) {
       const double fair = 1.0 / static_cast<double>(slot_cpu.size());
       const double threshold = options_.hotspot_multiple * fair;
       for (const auto& [slot, cpu] : slot_cpu) {
@@ -136,10 +141,10 @@ LoadTracker::LoadSnapshot LoadTracker::ComputeLocked(std::uint64_t now_us) {
     prev_pool_misses_ = data_plane::PoolMisses();
   }
 
-  out.load_index = options_.w_queue * out.queue_depth +
-                   options_.w_cpu * out.cpu_utilization +
-                   options_.w_p99_ms * out.p99_ms +
-                   options_.w_pool_miss * out.pool_miss_fraction;
+  out.load_index = kWeightQueue * out.queue_depth +
+                   kWeightCpu * out.cpu_utilization +
+                   kWeightP99Ms * out.p99_ms +
+                   kWeightPoolMiss * out.pool_miss_fraction;
 
   // Journal newly-hot slots (and forget cooled ones) before republishing.
   if (options_.journal_hotspots && out.window_us != 0) {

@@ -3,12 +3,12 @@
 // consumes to decide where work should live.
 //
 // The load index is a weighted blend of windowed rates computed from the
-// global MetricsRegistry:
+// global MetricsRegistry (the weights are constants in load.cc):
 //
-//   load = w_queue * (pool pending + active.queue_depth)
-//        + w_cpu   * (sum of slot cpu_us deltas / window)   [~cores busy]
-//        + w_p99   * (windowed p99 over rpc.server.* histograms, in ms)
-//        + w_pool  * (buffer-pool miss fraction in the window)
+//   load = kWeightQueue    * (pool pending + active.queue_depth)
+//        + kWeightCpu      * (sum of slot cpu_us deltas / window) [~busy cores]
+//        + kWeightP99Ms    * (windowed p99 over rpc.server.* histograms, ms)
+//        + kWeightPoolMiss * (buffer-pool miss fraction in the window)
 //
 // A slot is a hotspot when its share of the node's windowed slot CPU
 // exceeds hotspot_multiple times the fair share (1/num_slots), provided
@@ -35,15 +35,8 @@ namespace glider::obs {
 class LoadTracker {
  public:
   struct Options {
-    double w_queue = 1.0;      // per queued task
-    double w_cpu = 4.0;        // per busy core
-    double w_p99_ms = 0.25;    // per millisecond of server-side RPC p99
-    double w_pool_miss = 2.0;  // per unit miss fraction
     // Hotspot: slot share > hotspot_multiple / num_slots of windowed CPU.
     double hotspot_multiple = 4.0;
-    // No hotspots unless the node's slots burned at least this fraction of
-    // one core over the window (filters idle-noise ratios).
-    double hotspot_min_utilization = 0.05;
     // Updates inside this window return the cached snapshot.
     std::uint64_t min_window_us = 200 * 1000;
     // Record kHotspot transitions in the global EventJournal.
@@ -65,8 +58,6 @@ class LoadTracker {
 
   LoadTracker() = default;
   explicit LoadTracker(Options options) : options_(options) {}
-
-  void SetOptions(Options options);
 
   // Recomputes from the global registry when min_window has elapsed (else
   // returns the cached value) and republishes the gauges.

@@ -176,8 +176,9 @@ class ChannelInputStream : public ActionInputStream {
     if (eos_) return Buffer{};
     if (pending_.empty()) {
       run_->BumpProgress();
-      // Drain every queued task with a single channel lock/wakeup: doorbell
-      // batches arrive together, so one wake serves many ReadChunk calls.
+      // Drain every queued task with a single channel lock/wakeup: a write
+      // frame's chunks arrive together, so one wake serves many ReadChunk
+      // calls.
       auto batch = channel_->BlockingPopAll(monitor_, kDrainMax);
       run_->BumpProgress();
       if (!batch.ok()) {
@@ -389,13 +390,6 @@ ActiveServer::ActiveServer(Options options,
              net::Responder responder) {
         DoStreamWrite(std::move(req), std::move(request),
                       std::move(responder));
-      });
-  RouteDeferred<StreamWriteBatchRequest>(
-      kStreamWriteBatch, "StreamWriteBatch",
-      [this](StreamWriteBatchRequest req, net::Message request,
-             net::Responder responder) {
-        DoStreamWriteBatch(std::move(req), std::move(request),
-                           std::move(responder));
       });
   RouteDeferred<StreamReadRequest>(
       kStreamRead, "StreamRead",
@@ -904,49 +898,21 @@ void ActiveServer::DoStreamOpen(StreamOpenRequest req, net::Message request,
 
 void ActiveServer::DoStreamWrite(StreamWriteRequest req, net::Message request,
                                  net::Responder responder) {
-  // Zero-copy: req.data is a slice of the request payload; the DataTask
-  // keeps the frame's storage alive until the action consumes it.
+  // The frame's chunks enter the channel under one lock with at most one
+  // wakeup; the single response acks the frame once its last chunk is
+  // admitted. Chunks are zero-copy slices of the request payload: each
+  // DataTask keeps the frame's storage alive until the action consumes it.
   auto stream = streams_.Find(req.stream_id);
   if (!stream.ok()) return responder.SendError(request, stream.status());
   if ((*stream)->mode != StreamMode::kWrite) {
     return responder.SendError(request,
                                Status::InvalidArgument("not a write stream"));
   }
-  slots_[(*stream)->slot]->stats.bytes_in->Add(req.data.size());
-  DataTask task;
-  task.data = std::move(req.data);
-  (*stream)->channel.AsyncPush(
-      req.seq, std::move(task),
-      [request, responder](Status admit) mutable {
-        if (admit.ok()) {
-          responder.SendOk(request);
-        } else {
-          responder.SendError(request, admit);
-        }
-      });
-}
-
-void ActiveServer::DoStreamWriteBatch(StreamWriteBatchRequest req,
-                                      net::Message request,
-                                      net::Responder responder) {
-  // Doorbell write: the whole batch enters the channel under one lock with
-  // one wakeup; the single response acks the batch once its last chunk is
-  // admitted. Chunks are zero-copy slices of the request payload.
-  auto stream = streams_.Find(req.stream_id);
-  if (!stream.ok()) return responder.SendError(request, stream.status());
-  if ((*stream)->mode != StreamMode::kWrite) {
-    return responder.SendError(request,
-                               Status::InvalidArgument("not a write stream"));
-  }
-  std::uint64_t total = 0;
-  for (const auto& c : req.chunks) total += c.size();
-  slots_[(*stream)->slot]->stats.bytes_in->Add(total);
-  std::vector<DataTask> tasks;
-  tasks.reserve(req.chunks.size());
-  for (auto& chunk : req.chunks) {
-    DataTask task;
-    task.data = std::move(chunk);
-    tasks.push_back(std::move(task));
+  obs::Counter* bytes_in = slots_[(*stream)->slot]->stats.bytes_in;
+  std::vector<DataTask> tasks(req.chunks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    bytes_in->Add(req.chunks[i].size());
+    tasks[i].data = std::move(req.chunks[i]);
   }
   (*stream)->channel.AsyncPushAll(
       req.first_seq, std::move(tasks),
@@ -1005,9 +971,9 @@ void ActiveServer::DoStreamClose(StreamCloseRequest req, net::Message request,
     // abort it, so the method and its drain return and release the slot's
     // turn, and answer the close with the refusal. The channel fires this
     // only from inside one of its own calls, so its stream is alive.
-    DataTask eos;
-    eos.eos = true;
-    stream->channel.AsyncPush(
+    std::vector<DataTask> eos(1);
+    eos.front().eos = true;
+    stream->channel.AsyncPushAll(
         req.seq, std::move(eos), [raw = stream.get()](Status admitted) {
           if (admitted.ok()) return;
           net::Responder close_responder;

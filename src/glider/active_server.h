@@ -119,8 +119,6 @@ class ActiveServer : public net::ServiceRouter,
                     net::Responder responder);
   void DoStreamWrite(StreamWriteRequest req, net::Message request,
                      net::Responder responder);
-  void DoStreamWriteBatch(StreamWriteBatchRequest req, net::Message request,
-                          net::Responder responder);
   void DoStreamRead(StreamReadRequest req, net::Message request,
                     net::Responder responder);
   void DoStreamClose(StreamCloseRequest req, net::Message request,

@@ -105,50 +105,36 @@ Status ActionWriter::Write(ByteSpan data) {
 }
 
 Status ActionWriter::SendChunk(ByteSpan chunk) {
-  const std::size_t batch_chunks = client_->options().write_batch_chunks;
-  if (batch_chunks > 1) {
-    // Doorbell gathering: serialize the chunk straight into the batch frame
-    // (still exactly one copy of the caller's bytes). The batch ships as a
-    // single kStreamWriteBatch RPC once `batch_chunks` chunks accumulated,
-    // or at Close().
-    if (!batch_.has_value()) {
-      const std::size_t chunk_size = client_->options().chunk_size;
-      batch_.emplace(BufferPool::Global(),
-                     8 + 8 + batch_chunks * (4 + chunk_size));
-      batch_->PutU64(stream_id_);
-      batch_->PutU64(next_seq_);  // first_seq of the batch
-    }
-    batch_->PutBytes(chunk);
-    ++next_seq_;
-    ++batch_count_;
-    bytes_written_ += chunk.size();
-    if (batch_count_ < batch_chunks) return Status::Ok();
-    return FlushBatch();
+  // Serialize straight into the pooled frame in progress: the caller's bytes
+  // are copied exactly once, into the frame that goes on the wire. The frame
+  // ships once it holds write_batch_chunks chunks, or at Close(). It is
+  // sized from its first chunk, so a one-chunk frame reserves no more than
+  // it sends.
+  const std::size_t frame_chunks =
+      std::max<std::size_t>(1, client_->options().write_batch_chunks);
+  if (!frame_.has_value()) {
+    frame_.emplace(BufferPool::Global(),
+                   8 + 8 + frame_chunks * (4 + chunk.size()));
+    frame_->PutU64(stream_id_);
+    frame_->PutU64(next_seq_);  // first_seq of the frame
   }
-  // Serialize straight into pooled storage: the caller's bytes are copied
-  // exactly once, into the frame that goes on the wire.
-  BinaryWriter w(BufferPool::Global(), 8 + 8 + 4 + chunk.size());
-  w.PutU64(stream_id_);
-  w.PutU64(next_seq_++);
-  w.PutBytes(chunk);
-
-  net::Message msg;
-  msg.opcode = kStreamWrite;
-  msg.payload = std::move(w).Finish();
-  inflight_.push_back(conn_->Call(std::move(msg)));
+  frame_->PutBytes(chunk);
+  ++next_seq_;
+  ++frame_count_;
   bytes_written_ += chunk.size();
-  return DrainInflight(/*all=*/false);
+  if (frame_count_ < frame_chunks) return Status::Ok();
+  return FlushFrame();
 }
 
-Status ActionWriter::FlushBatch() {
-  if (!batch_.has_value()) return Status::Ok();
+Status ActionWriter::FlushFrame() {
+  if (!frame_.has_value()) return Status::Ok();
   net::Message msg;
-  msg.opcode = kStreamWriteBatch;
-  msg.payload = std::move(*batch_).Finish();
-  batch_.reset();
-  batch_count_ = 0;
-  // One in-flight unit per batch: the server acks once the whole batch is
-  // admitted, so the window now counts batches, not chunks.
+  msg.opcode = kStreamWrite;
+  msg.payload = std::move(*frame_).Finish();
+  frame_.reset();
+  frame_count_ = 0;
+  // The server acks a frame once its last chunk is admitted, so the window
+  // counts frames.
   inflight_.push_back(conn_->Call(std::move(msg)));
   return DrainInflight(/*all=*/false);
 }
@@ -180,8 +166,8 @@ Status ActionWriter::Close() {
     deferred_error_ = SendChunk(rest.span());
   }
   if (deferred_error_.ok()) {
-    // A partially gathered doorbell batch must not outlive the stream.
-    deferred_error_ = FlushBatch();
+    // A partly filled frame must not outlive the stream.
+    deferred_error_ = FlushFrame();
   }
   if (deferred_error_.ok()) {
     deferred_error_ = DrainInflight(/*all=*/true);

@@ -88,9 +88,9 @@ class ActionWriter {
 
  private:
   Status SendChunk(ByteSpan chunk);
-  // Ships the gathered doorbell batch (if any) as one kStreamWriteBatch
-  // RPC and counts it as a single in-flight unit.
-  Status FlushBatch();
+  // Ships the frame in progress (if any) as one kStreamWrite RPC and counts
+  // it as a single in-flight unit.
+  Status FlushFrame();
   Status DrainInflight(bool all);
 
   nk::StoreClient* client_;
@@ -99,10 +99,10 @@ class ActionWriter {
   std::uint64_t next_seq_ = 0;
   std::uint64_t bytes_written_ = 0;
   Buffer pending_;
-  // Doorbell gathering (write_batch_chunks > 1): chunks are serialized
-  // straight into this frame-in-progress; FlushBatch ships it.
-  std::optional<BinaryWriter> batch_;
-  std::size_t batch_count_ = 0;
+  // Chunks are serialized straight into this frame in progress;
+  // FlushFrame ships it.
+  std::optional<BinaryWriter> frame_;
+  std::size_t frame_count_ = 0;
   std::deque<std::future<Result<net::Message>>> inflight_;
   Status deferred_error_;
   bool closed_ = false;

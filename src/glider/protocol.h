@@ -23,7 +23,6 @@ enum Opcode : std::uint16_t {
   kStreamRead = 34,
   kStreamClose = 35,
   kActionStat = 36,
-  kStreamWriteBatch = 37,
 };
 
 enum class StreamMode : std::uint8_t { kRead = 0, kWrite = 1 };
@@ -115,58 +114,15 @@ struct StreamOpenResponse {
   }
 };
 
+// One stream write: N >= 1 contiguous stream operations (first_seq ..
+// first_seq + chunks.size() - 1) in one frame, admitted to the stream
+// channel under one lock with at most one wakeup and acknowledged once the
+// LAST chunk is admitted. StoreClient::Options::write_batch_chunks sets N.
+// The chunk count is implicit: decoders read length-prefixed chunks until
+// the payload ends, so encoders stream chunks straight into the frame
+// without backpatching a count, and a one-chunk frame is u64 stream_id,
+// u64 seq, u32 length, bytes.
 struct StreamWriteRequest {
-  std::uint64_t stream_id = 0;
-  std::uint64_t seq = 0;
-  Buffer data;
-
-  std::size_t WireBytes() const { return 8 + 8 + 4 + data.size(); }
-
-  void Put(BinaryWriter& w) const {
-    w.PutU64(stream_id);
-    w.PutU64(seq);
-    w.PutBytes(data.span());
-  }
-  Buffer Encode() const {
-    BinaryWriter w(WireBytes());
-    Put(w);
-    return std::move(w).Finish();
-  }
-  // Hot-path encode backed by pooled chunk-sized storage.
-  Buffer Encode(BufferPool& pool) const {
-    BinaryWriter w(pool, WireBytes());
-    Put(w);
-    return std::move(w).Finish();
-  }
-  static Result<StreamWriteRequest> Decode(ByteSpan b) {
-    BinaryReader r(b);
-    StreamWriteRequest req;
-    GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
-    GLIDER_ASSIGN_OR_RETURN(req.seq, r.U64());
-    GLIDER_ASSIGN_OR_RETURN(auto data, r.Bytes());
-    req.data = Buffer(data.data(), data.size());
-    return req;
-  }
-  // Zero-copy decode: `data` becomes a slice of the request payload, which
-  // rides the stream channel to the action without further copies.
-  static Result<StreamWriteRequest> Decode(const Buffer& b) {
-    BinaryReader r(b.span());
-    StreamWriteRequest req;
-    GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
-    GLIDER_ASSIGN_OR_RETURN(req.seq, r.U64());
-    GLIDER_ASSIGN_OR_RETURN(req.data, GetBytesSlice(r, b));
-    return req;
-  }
-};
-
-// Doorbell write: N contiguous stream operations (first_seq .. first_seq +
-// chunks.size() - 1) in one frame, admitted to the stream channel under one
-// lock with one wakeup and acknowledged as a unit once the LAST chunk is
-// admitted. Client-side batching gathers small writes into this (see
-// StoreClient::Options::write_batch_chunks); the chunk count is implicit —
-// decoders read length-prefixed chunks until the payload ends, so encoders
-// can stream chunks straight into the frame without backpatching a count.
-struct StreamWriteBatchRequest {
   std::uint64_t stream_id = 0;
   std::uint64_t first_seq = 0;
   std::vector<Buffer> chunks;
@@ -186,26 +142,26 @@ struct StreamWriteBatchRequest {
   }
   // Zero-copy decode: every chunk becomes a slice of the request payload,
   // riding the stream channel to the action without further copies.
-  static Result<StreamWriteBatchRequest> Decode(const Buffer& b) {
+  static Result<StreamWriteRequest> Decode(const Buffer& b) {
     BinaryReader r(b.span());
-    StreamWriteBatchRequest req;
+    StreamWriteRequest req;
     GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
     GLIDER_ASSIGN_OR_RETURN(req.first_seq, r.U64());
-    while (!r.AtEnd()) {
+    do {
       GLIDER_ASSIGN_OR_RETURN(auto chunk, GetBytesSlice(r, b));
       req.chunks.push_back(std::move(chunk));
-    }
+    } while (!r.AtEnd());
     return req;
   }
-  static Result<StreamWriteBatchRequest> Decode(ByteSpan b) {
+  static Result<StreamWriteRequest> Decode(ByteSpan b) {
     BinaryReader r(b);
-    StreamWriteBatchRequest req;
+    StreamWriteRequest req;
     GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
     GLIDER_ASSIGN_OR_RETURN(req.first_seq, r.U64());
-    while (!r.AtEnd()) {
+    do {
       GLIDER_ASSIGN_OR_RETURN(auto chunk, r.Bytes());
       req.chunks.emplace_back(chunk.data(), chunk.size());
-    }
+    } while (!r.AtEnd());
     return req;
   }
 };

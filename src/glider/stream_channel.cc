@@ -1,5 +1,6 @@
 #include "glider/stream_channel.h"
 
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -154,46 +155,6 @@ StreamChannel::MatchLocked() {
   return fired;
 }
 
-void StreamChannel::AsyncPush(std::uint64_t seq, DataTask task,
-                              AdmitFn on_admitted) {
-  StampTask(task);
-  FireList fire;
-  bool wake = false;
-  {
-    std::scoped_lock lock(mu_);
-    if (aborted_) {
-      fire.admits.emplace_back(std::move(on_admitted),
-                               Status::Closed("stream aborted"));
-    } else if (seq < next_push_seq_ || pushes_.contains(seq)) {
-      fire.admits.emplace_back(std::move(on_admitted), BadSeq("push", seq));
-    } else if (seq == next_push_seq_ && pushes_.empty() &&
-               (items_.size() < capacity_ ||
-                consumers_.contains(next_pop_seq_))) {
-      // In-order fast path (the expected case): admit directly, skipping
-      // the out-of-order buffering map.
-      items_.push_back(std::move(task));
-      if (obs::Enabled()) OccupancyHist().Record(items_.size());
-      ++next_push_seq_;
-      fire.admits.emplace_back(std::move(on_admitted), Status::Ok());
-      for (auto& d : MatchLocked()) fire.deliveries.push_back(std::move(d));
-    } else {
-      pushes_.emplace(seq, PendingPush{std::move(task), std::move(on_admitted)});
-      // Alternate promote/match until nothing moves.
-      while (true) {
-        auto admits = PromoteLocked();
-        auto deliveries = MatchLocked();
-        if (admits.empty() && deliveries.empty()) break;
-        fire.Add(std::move(admits));
-        for (auto& d : deliveries) fire.deliveries.push_back(std::move(d));
-      }
-    }
-    PublishHintLocked();
-    wake = waiters_ > 0;
-  }
-  if (wake) cv_.notify_all();
-  fire.FireAll();
-}
-
 void StreamChannel::AsyncPushAll(std::uint64_t first_seq,
                                  std::vector<DataTask> tasks,
                                  AdmitFn on_admitted) {
@@ -211,9 +172,12 @@ void StreamChannel::AsyncPushAll(std::uint64_t first_seq,
       fire.admits.emplace_back(std::move(on_admitted),
                                Status::Closed("stream aborted"));
     } else if (first_seq < next_push_seq_ ||
+               tasks.size() - 1 >
+                   std::numeric_limits<std::uint64_t>::max() - first_seq ||
                (pending != pushes_.end() &&
                 pending->first - first_seq < tasks.size())) {
       // The batch is refused whole: none of its tasks enters the channel.
+      // A batch whose last seq would wrap past the top is refused too.
       fire.admits.emplace_back(std::move(on_admitted),
                                BadSeq("push", first_seq));
     } else {

@@ -3,8 +3,9 @@
 //
 // Two usages:
 //   * write streams: network workers push data tasks asynchronously (in
-//     sequence order, acknowledging the client when a task is admitted);
-//     the action thread pops them from inside Action::onWrite.
+//     sequence order, acknowledging the client when a write frame's tasks
+//     are admitted); the action thread pops them from inside
+//     Action::onWrite.
 //   * read streams: the action thread pushes chunks from Action::onRead
 //     (blocking while the client is behind); network workers pop them
 //     asynchronously to answer pipelined read requests in sequence order.
@@ -16,9 +17,10 @@
 // actions writing to other actions on the same server.
 //
 // Hot-path discipline (see DESIGN.md "Hot-path batching & wakeup"):
-//   * AsyncPushAll is the doorbell: a whole batch of contiguous chunks is
-//     admitted under one lock acquisition with one admission ack and at
-//     most one consumer wakeup;
+//   * AsyncPushAll, the one network-side push, is a doorbell: a whole
+//     write frame of contiguous chunks (or a close's eos task) is admitted
+//     under one lock acquisition with one admission ack and at most one
+//     consumer wakeup;
 //   * the expected case (in-order arrival, queue open) skips the
 //     out-of-order buffering map entirely;
 //   * the action-side cv is only notified when a waiter is parked, and
@@ -100,18 +102,14 @@ class StreamChannel {
 
   // --- network-worker side (never blocks) ---
 
-  // Admits `task` as operation `seq` (0-based, contiguous). Out-of-order
-  // arrivals are buffered; `on_admitted` fires when the task enters the
-  // queue (immediately or once space frees). A seq already admitted or
-  // already pending is answered with kInvalidArgument at once.
-  void AsyncPush(std::uint64_t seq, DataTask task, AdmitFn on_admitted);
-
-  // Doorbell push: admits `tasks` as operations first_seq .. first_seq +
-  // tasks.size() - 1 under one lock acquisition with at most one consumer
-  // wakeup. `on_admitted` acks the batch as a whole — it fires once the
-  // LAST task has entered the queue (so a client window counts the batch
-  // as one in-flight unit). A batch holding any seq already admitted or
-  // already pending is refused whole with kInvalidArgument.
+  // Admits `tasks` as operations first_seq .. first_seq + tasks.size() - 1
+  // (0-based, contiguous) under one lock acquisition with at most one
+  // consumer wakeup. Out-of-order arrivals are buffered until the hole
+  // before them fills. `on_admitted` acks the batch as a whole: it fires
+  // once the LAST task has entered the queue (immediately or once space
+  // frees), so a client window counts the batch as one in-flight unit. A
+  // batch holding any seq already admitted or already pending is refused
+  // whole with kInvalidArgument at once.
   void AsyncPushAll(std::uint64_t first_seq, std::vector<DataTask> tasks,
                     AdmitFn on_admitted);
 
@@ -125,7 +123,7 @@ class StreamChannel {
 
   // Pops every queued in-order task (at least one; blocks while empty), up
   // to `max_items`, under one lock acquisition. Write-stream consumers use
-  // this to drain a doorbell batch at the cost of a single wakeup. The
+  // this to drain a write frame's chunks at the cost of a single wakeup. The
   // batch may contain the eos task (always last: nothing follows eos).
   // With a monitor, the wait yields the action's turn. kClosed after
   // Abort(), or once the producer closed and the queue is empty.

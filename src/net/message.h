@@ -25,7 +25,8 @@
 // wrong offset and misframing. Bump kWireVersion whenever the header
 // layout or an opcode's meaning changes (v2: the header grew from 32 to 40
 // bytes when `principal` was added; v3: the management opcodes moved from
-// 990-998 to 56-62).
+// 990-998 to 56-62; v4: a stream write frame carries 1..N chunks and the
+// batch write opcode 37 is retired).
 #pragma once
 
 #include <cstdint>
@@ -42,11 +43,11 @@ inline constexpr std::size_t kFrameHeaderSize = 2 + 2 + 8 + 8 + 8 + 8 + 4;
 
 // Connection preamble: 4 magic bytes + u32 wire version (little-endian),
 // exchanged once per TCP connection before the first frame in either
-// direction. v3 = the 40-byte header with the `principal` field and the
-// management opcodes at 56-62.
+// direction. v4 = the 40-byte header with the `principal` field, the
+// management opcodes at 56-62, and multi-chunk stream write frames.
 inline constexpr std::size_t kWirePreambleSize = 8;
 inline constexpr std::uint8_t kWireMagic[4] = {'G', 'L', 'D', 'R'};
-inline constexpr std::uint32_t kWireVersion = 3;
+inline constexpr std::uint32_t kWireVersion = 4;
 
 inline void EncodeWirePreamble(std::uint8_t (&out)[kWirePreambleSize]) {
   for (int i = 0; i < 4; ++i) out[i] = kWireMagic[i];

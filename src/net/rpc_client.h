@@ -9,7 +9,6 @@
 
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "net/transport.h"
 
@@ -54,91 +53,6 @@ Result<Resp> Call(Connection& conn, std::uint16_t opcode, const Req& req) {
 template <typename Req>
 Status CallVoid(Connection& conn, std::uint16_t opcode, const Req& req) {
   return conn.CallSync(opcode, detail::EncodeRequest(req)).status();
-}
-
-// RAII cork: issue a known burst of calls inside the guard's scope and the
-// transport emits all their frames in one batched write at destruction
-// (no-op on transports without a framing layer).
-class CorkGuard {
- public:
-  explicit CorkGuard(Connection& conn) : conn_(&conn) { conn_->Cork(); }
-  ~CorkGuard() { conn_->Uncork(); }
-  CorkGuard(const CorkGuard&) = delete;
-  CorkGuard& operator=(const CorkGuard&) = delete;
-
- private:
-  Connection* conn_;
-};
-
-// Pipelined typed RPC: issues one call per request back-to-back under a
-// cork — over TCP every request frame shares one coalesced sendmsg — then
-// waits for all responses. Results are returned in request order; the
-// first failure (transport or server) aborts the decode and is returned
-// after every response has been awaited.
-template <typename Resp, typename Req>
-Result<std::vector<Resp>> CallBatch(Connection& conn, std::uint16_t opcode,
-                                    const std::vector<Req>& reqs) {
-  std::vector<std::future<Result<Message>>> futures;
-  futures.reserve(reqs.size());
-  {
-    CorkGuard cork(conn);
-    for (const Req& req : reqs) {
-      Message m;
-      m.opcode = opcode;
-      m.payload = detail::EncodeRequest(req);
-      futures.push_back(conn.Call(std::move(m)));
-    }
-  }
-  std::vector<Resp> out;
-  out.reserve(futures.size());
-  Status first_error = Status::Ok();
-  for (auto& fut : futures) {
-    auto response = fut.get();
-    if (!first_error.ok()) continue;  // keep draining the remaining futures
-    if (!response.ok()) {
-      first_error = response.status();
-      continue;
-    }
-    auto payload = ToResult(std::move(response).value());
-    if (!payload.ok()) {
-      first_error = payload.status();
-      continue;
-    }
-    auto decoded = detail::DecodeResponse<Resp>(std::move(payload).value());
-    if (!decoded.ok()) {
-      first_error = decoded.status();
-      continue;
-    }
-    out.push_back(std::move(decoded).value());
-  }
-  if (!first_error.ok()) return first_error;
-  return out;
-}
-
-// Pipelined typed RPC whose responses carry no payload worth decoding.
-template <typename Req>
-Status CallVoidBatch(Connection& conn, std::uint16_t opcode,
-                     const std::vector<Req>& reqs) {
-  std::vector<std::future<Result<Message>>> futures;
-  futures.reserve(reqs.size());
-  {
-    CorkGuard cork(conn);
-    for (const Req& req : reqs) {
-      Message m;
-      m.opcode = opcode;
-      m.payload = detail::EncodeRequest(req);
-      futures.push_back(conn.Call(std::move(m)));
-    }
-  }
-  Status first_error = Status::Ok();
-  for (auto& fut : futures) {
-    auto response = fut.get();
-    const Status s = response.ok()
-                         ? ToResult(std::move(response).value()).status()
-                         : response.status();
-    if (first_error.ok() && !s.ok()) first_error = s;
-  }
-  return first_error;
 }
 
 }  // namespace glider::net

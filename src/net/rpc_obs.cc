@@ -34,12 +34,6 @@ const char* RpcOpName(std::uint16_t opcode) {
     case 34: return "StreamRead";
     case 35: return "StreamClose";
     case 36: return "ActionStat";
-    case 37: return "StreamWriteBatch";
-    case 50: return "S3Put";
-    case 51: return "S3Get";
-    case 52: return "S3SelectSample";
-    case 53: return "S3Delete";
-    case 54: return "S3Size";
     case 8: return "ListServers";
     case kNodeSnapshot: return "NodeSnapshot";
     case kTraceDump: return "TraceDump";

@@ -40,10 +40,10 @@ class StoreClient {
     std::shared_ptr<net::LinkModel> control_link;
     std::size_t chunk_size = 256 * 1024;  // stream operation size
     std::size_t inflight_window = 4;      // async stream ops kept in flight
-    // Action stream writes gathered per doorbell RPC (kStreamWriteBatch).
-    // 1 = unbatched: every chunk is its own RPC as soon as it is full, so
-    // interactive flows never wait on a partially filled batch. Raise for
-    // small-chunk bulk streams; ActionWriter::Close always flushes.
+    // Chunks per action-stream write frame (one kStreamWrite RPC). 1: every
+    // chunk ships as soon as it is full, so interactive flows never wait on
+    // a partly filled frame. Raise for small-chunk bulk streams;
+    // ActionWriter::Close always ships the last frame.
     std::size_t write_batch_chunks = 1;
   };
 

@@ -53,7 +53,7 @@ struct ClusterOptions {
   // Client streaming parameters.
   std::size_t chunk_size = 256 * 1024;
   std::size_t inflight_window = 4;
-  std::size_t write_batch_chunks = 1;  // >1: doorbell-batch action writes
+  std::size_t write_batch_chunks = 1;  // chunks per action write frame
 
   // Nonzero starts the process-wide TimeSeriesSampler at this cadence (and
   // enables tracing so histograms populate); the cluster stops it on

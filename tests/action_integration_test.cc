@@ -9,6 +9,7 @@
 
 #include "glider/client/action_node.h"
 #include "testing/cluster.h"
+#include "workloads/actions.h"
 
 namespace glider {
 namespace {
@@ -283,6 +284,61 @@ TEST_P(ActionIntegrationTest, ActionsDistributeAcrossActiveServers) {
     addresses.insert(node->info().slot.address);
   }
   EXPECT_EQ(addresses.size(), 2u);
+}
+
+// Every write is one kStreamWrite frame of 1..write_batch_chunks chunks.
+// Seven full chunks and a partial remainder (8 chunks) go out as 8 one-chunk
+// frames, or as frames of 3, 3 and 2 chunks, the last shipped by Close. The
+// FaaS link sees one operation per frame plus the close, and the merged
+// dictionaries are equal.
+TEST_P(ActionIntegrationTest, WriteFramesCarryOneOrMoreChunks) {
+  workloads::RegisterWorkloadActions();
+  const std::size_t chunk = cluster_->options().chunk_size;
+  std::string text;
+  for (int i = 0; text.size() < 7 * chunk + chunk / 2; ++i) {
+    text += std::to_string(i % 101) + "," + std::to_string(i) + "\n";
+  }
+  ASSERT_LT(text.size(), 8 * chunk);
+
+  struct Case {
+    std::size_t batch;
+    std::uint64_t ops_after_writes;
+    std::uint64_t ops_after_close;
+  };
+  std::vector<std::string> merged;
+  for (const Case& c : {Case{1, 7, 9}, Case{3, 2, 4}}) {
+    SCOPED_TRACE("write_batch_chunks " + std::to_string(c.batch));
+    auto metrics = std::make_shared<Metrics>();
+    nk::StoreClient::Options copts;
+    copts.transport = &cluster_->transport();
+    copts.metadata_address = cluster_->metadata_address();
+    copts.data_link = net::LinkModel::Unshaped(LinkClass::kFaas, metrics);
+    copts.chunk_size = chunk;
+    copts.write_batch_chunks = c.batch;
+    auto client = nk::StoreClient::Connect(std::move(copts));
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const std::string path = "/frames" + std::to_string(c.batch);
+    auto node = ActionNode::Create(**client, path, "glider.merge");
+    ASSERT_TRUE(node.ok()) << node.status().ToString();
+    auto writer = node->OpenWriter();
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+
+    const std::uint64_t ops = metrics->Operations(LinkClass::kFaas);
+    const std::uint64_t sent = metrics->BytesSent(LinkClass::kFaas);
+    ASSERT_TRUE((*writer)->Write(text).ok());
+    EXPECT_EQ(metrics->Operations(LinkClass::kFaas) - ops, c.ops_after_writes);
+    ASSERT_TRUE((*writer)->Close().ok());
+    const std::uint64_t frames = c.ops_after_close - 1;
+    EXPECT_EQ(metrics->Operations(LinkClass::kFaas) - ops, c.ops_after_close);
+    // Each frame: a header, stream id and first seq, then a u32 length
+    // before each of the 8 chunks. The close: a header, stream id and seq.
+    EXPECT_EQ(metrics->BytesSent(LinkClass::kFaas) - sent,
+              frames * (net::kFrameHeaderSize + 16) + 8 * 4 + text.size() +
+                  net::kFrameHeaderSize + 16);
+    merged.push_back(ReadAll(*node));
+  }
+  EXPECT_FALSE(merged[0].empty());
+  EXPECT_EQ(merged[0], merged[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, ActionIntegrationTest,

@@ -23,7 +23,6 @@
 #include "common/prometheus.h"
 #include "common/time_series.h"
 #include "common/trace.h"
-#include "faas/s3_service.h"
 #include "glider/cluster_monitor.h"
 #include "net/http_metrics.h"
 #include "net/rpc_client.h"
@@ -553,11 +552,8 @@ TEST(ManagementRoutesTest, RpcOpNameMatchesEveryRouter) {
   workloads::RegisterWorkloadActions();
   auto cluster = testing::MiniCluster::Start(testing::ClusterOptions{});
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-  faas::S3Like store(faas::S3Like::Options{}, nullptr);
-  faas::S3Service s3(&store, nullptr);
   const std::vector<const net::ServiceRouter*> routers = {
-      &(*cluster)->metadata(), &(*cluster)->data(), &(*cluster)->active(),
-      &s3};
+      &(*cluster)->metadata(), &(*cluster)->data(), &(*cluster)->active()};
   for (const net::ServiceRouter* router : routers) {
     int service_ops = 0;
     int management_ops = 0;

@@ -281,8 +281,8 @@ TEST_F(FailureTest, RefusedCloseFailsAndFreesTheSlot) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   core::StreamWriteRequest write;
   write.stream_id = opened->stream_id;
-  write.seq = 0;
-  write.data = Buffer::FromString("a,1\n");
+  write.first_seq = 0;
+  write.chunks = {Buffer::FromString("a,1\n")};
   ASSERT_TRUE(net::CallVoid(**conn, core::kStreamWrite, write).ok());
 
   core::StreamCloseRequest close;

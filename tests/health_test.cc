@@ -331,7 +331,6 @@ TEST(LoadTrackerTest, BlendsInputsAndFlagsHotspots) {
   obs::LoadTracker::Options opts;
   opts.min_window_us = 0;          // every Update recomputes
   opts.hotspot_multiple = 1.5;     // reachable with two slots
-  opts.hotspot_min_utilization = 0.01;
   obs::LoadTracker tracker(opts);
 
   registry.GetGauge("active.queue_depth").Set(3);

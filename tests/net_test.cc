@@ -410,15 +410,14 @@ TEST_F(TcpBatchingTest, InterleavedLargeZeroCopyFrames) {
     payloads.push_back(std::move(b));
   }
   std::vector<std::future<Result<Message>>> futures;
-  {
-    CorkGuard cork(**conn);
-    for (const Buffer& p : payloads) {
-      Message m;
-      m.opcode = 1;
-      m.payload = p;
-      futures.push_back((*conn)->Call(std::move(m)));
-    }
+  (*conn)->Cork();
+  for (const Buffer& p : payloads) {
+    Message m;
+    m.opcode = 1;
+    m.payload = p;
+    futures.push_back((*conn)->Call(std::move(m)));
   }
+  (*conn)->Uncork();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     auto response = futures[i].get();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -629,44 +628,6 @@ TEST_F(ServiceRouterTest, ManagementOpsAreRoutedByTheBase) {
   EXPECT_NE(bad.status().message().find("NodeSnapshot: bad request"),
             std::string::npos)
       << bad.status().ToString();
-}
-
-// Pipelined typed stubs: all request frames share one corked flush over
-// TCP, and the decoded responses come back in request order even though
-// the pool may complete the handlers out of order.
-TEST(ServiceRouterTcpTest, CallBatchPreservesRequestOrder) {
-  TcpTransport transport(4);
-  auto service = std::make_shared<MathService>();
-  auto listener = transport.Listen("", service);
-  ASSERT_TRUE(listener.ok());
-  auto conn = transport.Connect((*listener)->address(), nullptr);
-  ASSERT_TRUE(conn.ok());
-  std::vector<PairRequest> reqs;
-  for (std::uint32_t i = 0; i < 50; ++i) reqs.push_back(PairRequest{i, 1000});
-  auto resps = CallBatch<SumResponse>(**conn, 1, reqs);
-  ASSERT_TRUE(resps.ok()) << resps.status().ToString();
-  ASSERT_EQ(resps->size(), 50u);
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    EXPECT_EQ((*resps)[i].sum, i + 1000u);
-  }
-}
-
-TEST(ServiceRouterTcpTest, CallVoidBatchSurfacesHandlerError) {
-  TcpTransport transport(2);
-  auto service = std::make_shared<MathService>();
-  auto listener = transport.Listen("", service);
-  ASSERT_TRUE(listener.ok());
-  auto conn = transport.Connect((*listener)->address(), nullptr);
-  ASSERT_TRUE(conn.ok());
-  EXPECT_TRUE(CallVoidBatch(**conn, 1,
-                            std::vector<PairRequest>{{1, 2}, {3, 4}})
-                  .ok());
-  // Route 3 always fails: the batch must report it even though the other
-  // calls succeed, and every future must still have been awaited.
-  EXPECT_EQ(CallVoidBatch(**conn, 3,
-                          std::vector<PairRequest>{{1, 2}, {3, 4}})
-                .code(),
-            StatusCode::kWrongNodeType);
 }
 
 // ---- Link model --------------------------------------------------------------

@@ -87,8 +87,10 @@ TEST(RobustnessTest, ProtocolStructsSurviveTruncation) {
   {
     core::StreamWriteRequest req;
     req.stream_id = 9;
-    req.seq = 3;
-    req.data = Buffer::FromString("abc");
+    req.first_seq = 3;
+    req.chunks = {Buffer::FromString("abc")};
+    TruncationSweep<core::StreamWriteRequest>(req.Encode());
+    req.chunks.push_back(Buffer::FromString("defgh"));
     TruncationSweep<core::StreamWriteRequest>(req.Encode());
   }
   {
@@ -97,6 +99,32 @@ TEST(RobustnessTest, ProtocolStructsSurviveTruncation) {
     req.config = Buffer::FromString("cfg");
     TruncationSweep<core::ActionCreateRequest>(req.Encode());
   }
+}
+
+// A one-chunk write frame keeps the single-chunk layout of wire v3, byte
+// for byte: u64 stream_id, u64 seq, u32 length, then the bytes, all
+// little-endian (20 + len bytes).
+TEST(RobustnessTest, OneChunkWriteFrameKeepsItsLayout) {
+  core::StreamWriteRequest req;
+  req.stream_id = 0x0102030405060708;
+  req.first_seq = 0x1112131415161718;
+  req.chunks = {Buffer::FromString("abc")};
+  const std::vector<std::uint8_t> expected = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // stream_id
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // seq
+      0x03, 0x00, 0x00, 0x00,                          // length
+      'a',  'b',  'c'};
+  const Buffer frame = req.Encode();
+  const std::uint8_t* bytes = frame.data();
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes, bytes + frame.size()), expected);
+
+  auto decoded = core::StreamWriteRequest::Decode(
+      Buffer(expected.data(), expected.size()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->stream_id, req.stream_id);
+  EXPECT_EQ(decoded->first_seq, req.first_seq);
+  ASSERT_EQ(decoded->chunks.size(), 1u);
+  EXPECT_EQ(decoded->chunks.front().ToString(), "abc");
 }
 
 // Live servers must answer malformed payloads with errors, not crash.
@@ -144,7 +172,7 @@ TEST(RobustnessTest, UnknownStreamAndSlotIdsRejected) {
 
   core::StreamWriteRequest write;
   write.stream_id = 424242;
-  write.data = Buffer::FromString("x");
+  write.chunks = {Buffer::FromString("x")};
   EXPECT_EQ((*conn)->CallSync(core::kStreamWrite, write.Encode())
                 .status()
                 .code(),

@@ -1,11 +1,8 @@
-// Unit tests of the S3-like object store, its SELECT emulation, and the
-// S3Service/S3Client RPC front.
+// Unit tests of the S3-like object store and its SELECT emulation.
 #include <gtest/gtest.h>
 
 #include "common/stopwatch.h"
-#include "faas/s3_service.h"
 #include "faas/s3like.h"
-#include "net/inproc_transport.h"
 
 namespace glider::faas {
 namespace {
@@ -101,66 +98,6 @@ TEST(S3LikeTest, ConcurrentPutsAreAtomic) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(s3.TotalStoredBytes(), 8u * 50 * 100);
-}
-
-// ---- RPC front (S3Service / S3Client) ---------------------------------------
-
-class S3ServiceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    store_ = std::make_unique<S3Like>(FastOptions(), nullptr);
-    service_ = std::make_shared<S3Service>(store_.get(), nullptr);
-    ASSERT_TRUE(service_->Start(transport_).ok());
-    auto conn = transport_.Connect(service_->address(), nullptr);
-    ASSERT_TRUE(conn.ok());
-    client_ = std::make_unique<S3Client>(std::move(conn).value());
-  }
-
-  // The listener holds a shared_ptr to the service; stop explicitly so the
-  // service (and the raw store pointer it captured) is actually released.
-  void TearDown() override { service_->Stop(); }
-
-  net::InProcTransport transport_{2};
-  std::unique_ptr<S3Like> store_;
-  std::shared_ptr<S3Service> service_;
-  std::unique_ptr<S3Client> client_;
-};
-
-TEST_F(S3ServiceTest, PutGetDeleteOverRpc) {
-  ASSERT_TRUE(client_->Put("k", "remote-value").ok());
-  auto got = client_->Get("k");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(*got, "remote-value");
-
-  auto size = client_->Size("k");
-  ASSERT_TRUE(size.ok());
-  EXPECT_EQ(*size, 12u);
-
-  ASSERT_TRUE(client_->Delete("k").ok());
-  EXPECT_EQ(client_->Get("k").status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(S3ServiceTest, ErrorsTravelBackTyped) {
-  EXPECT_EQ(client_->Get("missing").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(client_->Size("missing").status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(S3ServiceTest, SelectSampleOverRpc) {
-  std::string object;
-  for (int i = 0; i < 6; ++i) object += "line" + std::to_string(i) + "\n";
-  ASSERT_TRUE(client_->Put("o", object).ok());
-  auto sampled = client_->SelectSample("o", 2);
-  ASSERT_TRUE(sampled.ok());
-  EXPECT_EQ(*sampled, "line0\nline2\nline4\n");
-  // The sampled bytes came over the wire; the scan stayed server-side.
-  EXPECT_EQ(store_->ScannedBytes(), object.size());
-}
-
-TEST_F(S3ServiceTest, WritesVisibleToDirectStoreAccess) {
-  ASSERT_TRUE(client_->Put("shared", "via-rpc").ok());
-  auto direct = store_->Get("shared", nullptr);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*direct, "via-rpc");
 }
 
 }  // namespace

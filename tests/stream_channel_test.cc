@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -54,8 +55,8 @@ std::vector<DataTask> Tasks(std::initializer_list<std::string_view> texts) {
 TEST(StreamChannelTest, InOrderPushPop) {
   StreamChannel channel(4);
   std::vector<Status> acks;
-  channel.AsyncPush(0, Task("a"), [&](Status s) { acks.push_back(s); });
-  channel.AsyncPush(1, Task("b"), [&](Status s) { acks.push_back(s); });
+  channel.AsyncPushAll(0, Tasks({"a"}), [&](Status s) { acks.push_back(s); });
+  channel.AsyncPushAll(1, Tasks({"b"}), [&](Status s) { acks.push_back(s); });
   ASSERT_EQ(acks.size(), 2u);
   EXPECT_TRUE(acks[0].ok() && acks[1].ok());
 
@@ -69,10 +70,10 @@ TEST(StreamChannelTest, InOrderPushPop) {
 TEST(StreamChannelTest, OutOfOrderArrivalsReleasedInSequence) {
   StreamChannel channel(8);
   std::vector<int> admitted;
-  channel.AsyncPush(2, Task("c"), [&](Status) { admitted.push_back(2); });
-  channel.AsyncPush(1, Task("b"), [&](Status) { admitted.push_back(1); });
+  channel.AsyncPushAll(2, Tasks({"c"}), [&](Status) { admitted.push_back(2); });
+  channel.AsyncPushAll(1, Tasks({"b"}), [&](Status) { admitted.push_back(1); });
   EXPECT_TRUE(admitted.empty());  // holes: nothing admitted yet
-  channel.AsyncPush(0, Task("a"), [&](Status) { admitted.push_back(0); });
+  channel.AsyncPushAll(0, Tasks({"a"}), [&](Status) { admitted.push_back(0); });
   EXPECT_EQ(admitted, (std::vector<int>{0, 1, 2}));
 
   EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
@@ -83,9 +84,9 @@ TEST(StreamChannelTest, OutOfOrderArrivalsReleasedInSequence) {
 TEST(StreamChannelTest, AdmissionDeferredWhileFull) {
   StreamChannel channel(2);
   int acked = 0;
-  channel.AsyncPush(0, Task("a"), [&](Status) { ++acked; });
-  channel.AsyncPush(1, Task("b"), [&](Status) { ++acked; });
-  channel.AsyncPush(2, Task("c"), [&](Status) { ++acked; });
+  channel.AsyncPushAll(0, Tasks({"a"}), [&](Status) { ++acked; });
+  channel.AsyncPushAll(1, Tasks({"b"}), [&](Status) { ++acked; });
+  channel.AsyncPushAll(2, Tasks({"c"}), [&](Status) { ++acked; });
   EXPECT_EQ(acked, 2);  // third write waits for space
   ASSERT_TRUE(channel.BlockingPopAll(nullptr, 1).ok());
   EXPECT_EQ(acked, 3);  // space freed -> admission + ack
@@ -99,7 +100,7 @@ TEST(StreamChannelTest, AsyncPopDeliversWhenDataArrives) {
     got.push_back(t->data.ToString());
   });
   EXPECT_TRUE(got.empty());  // parked
-  channel.AsyncPush(0, Task("x"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"x"}), [](Status) {});
   EXPECT_EQ(got, (std::vector<std::string>{"x"}));
 }
 
@@ -113,8 +114,8 @@ TEST(StreamChannelTest, PipelinedPopsServedInSeqOrder) {
   channel.AsyncPop(0, [&](Result<DataTask> t) {
     got.push_back(t.ok() ? t->data.ToString() : "EOS");
   });
-  channel.AsyncPush(0, Task("first"), [](Status) {});
-  channel.AsyncPush(1, Task("second"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"first"}), [](Status) {});
+  channel.AsyncPushAll(1, Tasks({"second"}), [](Status) {});
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], "first");
   EXPECT_EQ(got[1], "second");
@@ -122,7 +123,7 @@ TEST(StreamChannelTest, PipelinedPopsServedInSeqOrder) {
 
 TEST(StreamChannelTest, CloseProducerDrainsThenEos) {
   StreamChannel channel(4);
-  channel.AsyncPush(0, Task("last"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"last"}), [](Status) {});
   channel.CloseProducer();
   std::vector<std::string> got;
   channel.AsyncPop(0, [&](Result<DataTask> t) {
@@ -138,8 +139,10 @@ TEST(StreamChannelTest, AbortFailsEverybody) {
   StreamChannel channel(1);
   std::vector<StatusCode> admit_codes;
   std::vector<bool> pop_ok;
-  channel.AsyncPush(0, Task("a"), [&](Status s) { admit_codes.push_back(s.code()); });
-  channel.AsyncPush(1, Task("b"), [&](Status s) { admit_codes.push_back(s.code()); });
+  channel.AsyncPushAll(0, Tasks({"a"}),
+                       [&](Status s) { admit_codes.push_back(s.code()); });
+  channel.AsyncPushAll(1, Tasks({"b"}),
+                       [&](Status s) { admit_codes.push_back(s.code()); });
   channel.AsyncPop(5, [&](Result<DataTask> t) { pop_ok.push_back(t.ok()); });
   channel.Abort();
   // A pop arriving after the abort, out of sequence (a pipelined read that
@@ -198,7 +201,7 @@ TEST(StreamChannelTest, AsyncPushAllOutOfOrderWaitsForHole) {
   tail.push_back(Task("c"));
   channel.AsyncPushAll(1, std::move(tail), [&](Status) { ++acks; });
   EXPECT_EQ(acks, 0);  // hole at seq 0: nothing admitted yet
-  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
   EXPECT_EQ(acks, 1);
   EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "a");
   EXPECT_EQ(channel.BlockingPopAll(nullptr, 1)->front().data.ToString(), "b");
@@ -253,7 +256,7 @@ TEST(StreamChannelTest, BlockingPopAllWaitsForFirstItem) {
   StreamChannel channel(4);
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    channel.AsyncPush(0, Task("late"), [](Status) {});
+    channel.AsyncPushAll(0, Tasks({"late"}), [](Status) {});
   });
   auto batch = channel.BlockingPopAll(nullptr, /*max_items=*/4);
   producer.join();
@@ -278,7 +281,7 @@ TEST(StreamChannelTest, BlockingPopWaitsForData) {
     got = t->front().data.ToString();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  channel.AsyncPush(0, Task("late"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"late"}), [](Status) {});
   consumer.join();
   EXPECT_EQ(got, "late");
 }
@@ -325,7 +328,7 @@ TEST(StreamChannelTest, InterleavedPopYieldsMonitor) {
     monitor.Enter();  // must not deadlock: A yielded its turn
     b_ran = true;
     monitor.Exit();
-    channel_a.AsyncPush(0, Task("resume-a"), [](Status) {});
+    channel_a.AsyncPushAll(0, Tasks({"resume-a"}), [](Status) {});
   });
   method_a.join();
   method_b.join();
@@ -356,7 +359,7 @@ TEST(StreamChannelTest, NonInterleavedPopHoldsMonitor) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_FALSE(b_entered.load());
-  channel.AsyncPush(0, Task("go"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"go"}), [](Status) {});
   method_a.join();
   method_b.join();
   EXPECT_TRUE(b_entered.load());
@@ -368,8 +371,8 @@ TEST(StreamChannelTest, StalePushFailsAtOnce) {
   Answer<Status> stale;
   Answer<Status> stale_batch;
   StreamChannel channel(4);
-  channel.AsyncPush(0, Task("a"), [](Status) {});
-  channel.AsyncPush(0, Task("again"), stale.Callback());
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"again"}), stale.Callback());
   const auto answer = stale.Wait();
   ASSERT_TRUE(answer.has_value()) << "a stale push parked its ack";
   EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
@@ -380,12 +383,31 @@ TEST(StreamChannelTest, StalePushFailsAtOnce) {
   EXPECT_EQ(batch_answer->code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(channel.size(), 1u);  // neither entered the queue
 
-  channel.AsyncPush(1, Task("b"), [](Status) {});
+  channel.AsyncPushAll(1, Tasks({"b"}), [](Status) {});
   auto popped = channel.BlockingPopAll(nullptr, 4);
   ASSERT_TRUE(popped.ok());
   ASSERT_EQ(popped->size(), 2u);
   EXPECT_EQ((*popped)[0].data.ToString(), "a");
   EXPECT_EQ((*popped)[1].data.ToString(), "b");
+}
+
+// A batch whose last seq would wrap past the top of the seq space is
+// refused whole: its tail would otherwise enter as seq 0 and onward.
+TEST(StreamChannelTest, BatchWhoseSeqWouldWrapIsRefused) {
+  Answer<Status> wrapping;
+  StreamChannel channel(4);
+  channel.AsyncPushAll(std::numeric_limits<std::uint64_t>::max(),
+                       Tasks({"x", "y"}), wrapping.Callback());
+  const auto answer = wrapping.Wait();
+  ASSERT_TRUE(answer.has_value()) << "a wrapping batch went unanswered";
+  EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(channel.size(), 0u);
+
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
+  auto popped = channel.BlockingPopAll(nullptr, 4);
+  ASSERT_TRUE(popped.ok());
+  ASSERT_EQ(popped->size(), 1u);
+  EXPECT_EQ(popped->front().data.ToString(), "a");
 }
 
 // A push whose seq is already pending is refused at once rather than
@@ -395,8 +417,8 @@ TEST(StreamChannelTest, DuplicatePushFailsAtOnce) {
   Answer<Status> duplicate;
   Answer<Status> overlapping;
   StreamChannel channel(4);
-  channel.AsyncPush(1, Task("b"), pending.Callback());  // waits for seq 0
-  channel.AsyncPush(1, Task("dup"), duplicate.Callback());
+  channel.AsyncPushAll(1, Tasks({"b"}), pending.Callback());  // waits for seq 0
+  channel.AsyncPushAll(1, Tasks({"dup"}), duplicate.Callback());
   const auto answer = duplicate.Wait();
   ASSERT_TRUE(answer.has_value()) << "a duplicate push went unanswered";
   EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
@@ -408,7 +430,7 @@ TEST(StreamChannelTest, DuplicatePushFailsAtOnce) {
   EXPECT_EQ(batch_answer->code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(channel.size(), 0u);  // no part of the batch was admitted
 
-  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
   const auto admitted = pending.Wait();
   ASSERT_TRUE(admitted.has_value());
   EXPECT_TRUE(admitted->ok());
@@ -425,7 +447,7 @@ TEST(StreamChannelTest, StalePopFailsAtOnce) {
   Answer<Result<DataTask>> served;
   Answer<Result<DataTask>> stale;
   StreamChannel channel(4);
-  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
   channel.AsyncPop(0, served.Callback());
   const auto first = served.Wait();
   ASSERT_TRUE(first.has_value());
@@ -450,7 +472,7 @@ TEST(StreamChannelTest, DuplicatePopFailsAtOnce) {
   ASSERT_TRUE(answer.has_value()) << "a duplicate read went unanswered";
   EXPECT_EQ(answer->status().code(), StatusCode::kInvalidArgument);
 
-  channel.AsyncPush(0, Task("a"), [](Status) {});
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
   const auto delivered = parked.Wait();
   ASSERT_TRUE(delivered.has_value());
   ASSERT_TRUE(delivered->ok());
