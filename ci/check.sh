@@ -31,6 +31,25 @@ build/tools/glider_load examples/specs/sort_baseline.spec \
 # multi-chunk frame is checked here too.
 build/tools/glider_load examples/specs/reduce_baseline.spec \
   examples/specs/reduce_glider.spec examples/specs/reduce_glider_batched.spec
+# A write stream's close carries its last chunks: the smoke's
+# request.action_write streams (one partial chunk each) and the batched
+# Fig. 5 spec (closes carrying several chunks) above already run that path.
+# A bad stream size fails fast: the smoke with chunk_size = 0 must exit
+# non-zero, naming the key, within 20 s (not by the timeout's 124).
+BAD_SPEC_DIR="$(mktemp -d)"
+sed 's/^\[cluster\]$/[cluster]\nchunk_size = 0/' examples/specs/ci_smoke.spec \
+  >"${BAD_SPEC_DIR}/bad.spec"
+bad_rc=0
+timeout 20 build/tools/glider_load "${BAD_SPEC_DIR}/bad.spec" >/dev/null \
+  2>"${BAD_SPEC_DIR}/stderr" || bad_rc=$?
+if [[ ${bad_rc} -eq 0 || ${bad_rc} -eq 124 ]] \
+    || ! grep -q chunk_size "${BAD_SPEC_DIR}/stderr"; then
+  echo "bad stream size: FAIL — exit ${bad_rc}, stderr:"
+  cat "${BAD_SPEC_DIR}/stderr"
+  exit 1
+fi
+echo "bad stream size: refused: $(cat "${BAD_SPEC_DIR}/stderr")"
+rm -rf "${BAD_SPEC_DIR}"
 
 echo
 echo "== perf gate: contention + batching + load-curve vs committed baselines =="

@@ -401,7 +401,8 @@ ActiveServer::ActiveServer(Options options,
       kStreamClose, "StreamClose",
       [this](StreamCloseRequest req, net::Message request,
              net::Responder responder) {
-        DoStreamClose(req, std::move(request), std::move(responder));
+        DoStreamClose(std::move(req), std::move(request),
+                      std::move(responder));
       });
 }
 
@@ -950,8 +951,10 @@ void ActiveServer::DoStreamClose(StreamCloseRequest req, net::Message request,
                                  net::Responder responder) {
   auto stream_result = streams_.Find(req.stream_id);
   if (!stream_result.ok()) {
-    // Already cleaned up; close is idempotent.
-    return responder.SendOk(request);
+    // Already cleaned up: a bare close is idempotent, but a close carrying
+    // chunks fails like a write to an unknown stream, since they are lost.
+    if (req.chunks.empty()) return responder.SendOk(request);
+    return responder.SendError(request, stream_result.status());
   }
   auto stream = std::move(stream_result).value();
 
@@ -966,15 +969,22 @@ void ActiveServer::DoStreamClose(StreamCloseRequest req, net::Message request,
         stream->close_request = request;
       }
     }
-    // End-of-stream arrives in-band after the last write (seq ordering).
-    // A refused eos (a stale or duplicate seq) can never end the stream:
-    // abort it, so the method and its drain return and release the slot's
-    // turn, and answer the close with the refusal. The channel fires this
-    // only from inside one of its own calls, so its stream is alive.
-    std::vector<DataTask> eos(1);
-    eos.front().eos = true;
+    // The close's chunks (zero-copy slices of its payload, like a write
+    // frame's) and the end-of-stream enter the channel as one batch after
+    // the last write (seq ordering). A refused batch (a stale, duplicate or
+    // ahead seq) can never end the stream: abort it, so the method and its
+    // drain return and release the slot's turn, and answer the close with
+    // the refusal. The channel fires this only from inside one of its own
+    // calls, so its stream is alive.
+    obs::Counter* bytes_in = slots_[stream->slot]->stats.bytes_in;
+    std::vector<DataTask> tasks(req.chunks.size() + 1);
+    for (std::size_t i = 0; i < req.chunks.size(); ++i) {
+      bytes_in->Add(req.chunks[i].size());
+      tasks[i].data = std::move(req.chunks[i]);
+    }
+    tasks.back().eos = true;
     stream->channel.AsyncPushAll(
-        req.seq, std::move(eos), [raw = stream.get()](Status admitted) {
+        req.seq, std::move(tasks), [raw = stream.get()](Status admitted) {
           if (admitted.ok()) return;
           net::Responder close_responder;
           net::Message close_request;

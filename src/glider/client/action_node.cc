@@ -104,17 +104,18 @@ Status ActionWriter::Write(ByteSpan data) {
   return Status::Ok();
 }
 
-Status ActionWriter::SendChunk(ByteSpan chunk) {
+std::size_t ActionWriter::FrameChunks() const {
+  return std::max<std::size_t>(1, client_->options().write_batch_chunks);
+}
+
+void ActionWriter::AppendChunk(ByteSpan chunk) {
   // Serialize straight into the pooled frame in progress: the caller's bytes
-  // are copied exactly once, into the frame that goes on the wire. The frame
-  // ships once it holds write_batch_chunks chunks, or at Close(). It is
+  // are copied exactly once, into the frame that goes on the wire. It is
   // sized from its first chunk, so a one-chunk frame reserves no more than
   // it sends.
-  const std::size_t frame_chunks =
-      std::max<std::size_t>(1, client_->options().write_batch_chunks);
   if (!frame_.has_value()) {
     frame_.emplace(BufferPool::Global(),
-                   8 + 8 + frame_chunks * (4 + chunk.size()));
+                   8 + 8 + FrameChunks() * (4 + chunk.size()));
     frame_->PutU64(stream_id_);
     frame_->PutU64(next_seq_);  // first_seq of the frame
   }
@@ -122,21 +123,27 @@ Status ActionWriter::SendChunk(ByteSpan chunk) {
   ++next_seq_;
   ++frame_count_;
   bytes_written_ += chunk.size();
-  if (frame_count_ < frame_chunks) return Status::Ok();
-  return FlushFrame();
 }
 
-Status ActionWriter::FlushFrame() {
-  if (!frame_.has_value()) return Status::Ok();
+Status ActionWriter::SendChunk(ByteSpan chunk) {
+  // The frame ships as one kStreamWrite once it holds write_batch_chunks
+  // chunks; a partly filled one waits for more, or for Close().
+  AppendChunk(chunk);
+  if (frame_count_ < FrameChunks()) return Status::Ok();
   net::Message msg;
   msg.opcode = kStreamWrite;
-  msg.payload = std::move(*frame_).Finish();
-  frame_.reset();
-  frame_count_ = 0;
+  msg.payload = TakeFrame();
   // The server acks a frame once its last chunk is admitted, so the window
   // counts frames.
   inflight_.push_back(conn_->Call(std::move(msg)));
   return DrainInflight(/*all=*/false);
+}
+
+Buffer ActionWriter::TakeFrame() {
+  Buffer frame = std::move(*frame_).Finish();
+  frame_.reset();
+  frame_count_ = 0;
+  return frame;
 }
 
 Status ActionWriter::DrainInflight(bool all) {
@@ -161,24 +168,29 @@ Status ActionWriter::Close() {
   if (closed_) return deferred_error_;
   closed_ = true;
   if (deferred_error_.ok() && !pending_.empty()) {
-    Buffer rest = std::move(pending_);
+    AppendChunk(pending_.span());
     pending_ = Buffer{};
-    deferred_error_ = SendChunk(rest.span());
   }
   if (deferred_error_.ok()) {
-    // A partly filled frame must not outlive the stream.
-    deferred_error_ = FlushFrame();
-  }
-  if (deferred_error_.ok()) {
+    // Every earlier frame is acked, so admitted, before the close goes: the
+    // server still knows the stream, and the close's chunks and
+    // end-of-stream start at the channel's next seq.
     deferred_error_ = DrainInflight(/*all=*/true);
   }
   if (deferred_error_.ok()) {
-    // The close operation completes when the action method finished
-    // consuming the stream (paper §4.2).
-    StreamCloseRequest req;
-    req.stream_id = stream_id_;
-    req.seq = next_seq_;
-    deferred_error_ = net::CallVoid(*conn_, kStreamClose, req);
+    // The close carries the frame in progress, the stream's last chunks,
+    // and completes when the action method finished consuming the stream
+    // (paper §4.2). With no frame in progress it is a bare close.
+    Buffer close;
+    if (frame_.has_value()) {
+      close = TakeFrame();
+    } else {
+      StreamCloseRequest req;
+      req.stream_id = stream_id_;
+      req.seq = next_seq_;
+      close = req.Encode();
+    }
+    deferred_error_ = net::CallVoid(*conn_, kStreamClose, close);
   }
   return deferred_error_;
 }

@@ -80,17 +80,23 @@ class ActionWriter {
   Status Write(ByteSpan data);
   Status Write(std::string_view text) { return Write(AsBytes(text)); }
 
-  // Flushes, sends the final close operation and waits until the action
-  // method completed. Idempotent.
+  // Waits for every shipped frame's ack, then sends the close, which
+  // carries the frame in progress (the stream's last chunks, if any), and
+  // waits until the action method completed. Idempotent.
   Status Close();
 
   std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  // Chunks per frame: write_batch_chunks, at least 1.
+  std::size_t FrameChunks() const;
+  // Serializes one chunk into the frame in progress, starting one if none.
+  void AppendChunk(ByteSpan chunk);
+  // Appends one chunk and ships the frame as one kStreamWrite RPC, a single
+  // in-flight unit, once it is full.
   Status SendChunk(ByteSpan chunk);
-  // Ships the frame in progress (if any) as one kStreamWrite RPC and counts
-  // it as a single in-flight unit.
-  Status FlushFrame();
+  // The frame in progress as a payload; no frame is in progress after.
+  Buffer TakeFrame();
   Status DrainInflight(bool all);
 
   nk::StoreClient* client_;
@@ -99,8 +105,8 @@ class ActionWriter {
   std::uint64_t next_seq_ = 0;
   std::uint64_t bytes_written_ = 0;
   Buffer pending_;
-  // Chunks are serialized straight into this frame in progress;
-  // FlushFrame ships it.
+  // Chunks are serialized straight into this frame in progress; SendChunk
+  // ships it once full, and Close sends it as the close.
   std::optional<BinaryWriter> frame_;
   std::size_t frame_count_ = 0;
   std::deque<std::future<Result<net::Message>>> inflight_;

@@ -185,23 +185,44 @@ struct StreamReadRequest {
   }
 };
 
+// A write stream's close carries the stream's last 0..N chunks in the write
+// frame's layout: u64 stream_id, u64 seq (that of the first tail chunk),
+// then a u32 length and the bytes of each chunk. The chunks take seq ..
+// seq + N - 1 and the end-of-stream takes seq + N. With no chunk it is the
+// 16-byte close a reader sends.
 struct StreamCloseRequest {
   std::uint64_t stream_id = 0;
-  // For write streams: total data operations sent, so the server can order
-  // the end-of-stream after the last write.
   std::uint64_t seq = 0;
+  std::vector<Buffer> chunks;
 
   Buffer Encode() const {
     BinaryWriter w;
     w.PutU64(stream_id);
     w.PutU64(seq);
+    for (const auto& c : chunks) w.PutBytes(c.span());
     return std::move(w).Finish();
+  }
+  // Zero-copy decode, as for StreamWriteRequest.
+  static Result<StreamCloseRequest> Decode(const Buffer& b) {
+    BinaryReader r(b.span());
+    StreamCloseRequest req;
+    GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
+    GLIDER_ASSIGN_OR_RETURN(req.seq, r.U64());
+    while (!r.AtEnd()) {
+      GLIDER_ASSIGN_OR_RETURN(auto chunk, GetBytesSlice(r, b));
+      req.chunks.push_back(std::move(chunk));
+    }
+    return req;
   }
   static Result<StreamCloseRequest> Decode(ByteSpan b) {
     BinaryReader r(b);
     StreamCloseRequest req;
     GLIDER_ASSIGN_OR_RETURN(req.stream_id, r.U64());
     GLIDER_ASSIGN_OR_RETURN(req.seq, r.U64());
+    while (!r.AtEnd()) {
+      GLIDER_ASSIGN_OR_RETURN(auto chunk, r.Bytes());
+      req.chunks.emplace_back(chunk.data(), chunk.size());
+    }
     return req;
   }
 };

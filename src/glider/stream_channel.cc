@@ -180,6 +180,16 @@ void StreamChannel::AsyncPushAll(std::uint64_t first_seq,
       // A batch whose last seq would wrap past the top is refused too.
       fire.admits.emplace_back(std::move(on_admitted),
                                BadSeq("push", first_seq));
+    } else if (tasks.back().eos && first_seq != next_push_seq_) {
+      // A writer sends its close once every earlier write is admitted, so
+      // an end-of-stream batch that starts past the next seq waits for
+      // writes that never come.
+      fire.admits.emplace_back(
+          std::move(on_admitted),
+          Status::InvalidArgument(
+              "stream close seq " + std::to_string(first_seq) +
+              " runs ahead of the writes (next seq " +
+              std::to_string(next_push_seq_) + ")"));
     } else {
       std::size_t i = 0;
       if (first_seq == next_push_seq_ && pushes_.empty()) {

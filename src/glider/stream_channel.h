@@ -18,9 +18,9 @@
 //
 // Hot-path discipline (see DESIGN.md "Hot-path batching & wakeup"):
 //   * AsyncPushAll, the one network-side push, is a doorbell: a whole
-//     write frame of contiguous chunks (or a close's eos task) is admitted
-//     under one lock acquisition with one admission ack and at most one
-//     consumer wakeup;
+//     write frame of contiguous chunks (or a close's chunks and eos) is
+//     admitted under one lock acquisition with one admission ack and at
+//     most one consumer wakeup;
 //   * the expected case (in-order arrival, queue open) skips the
 //     out-of-order buffering map entirely;
 //   * the action-side cv is only notified when a waiter is parked, and
@@ -109,7 +109,9 @@ class StreamChannel {
   // once the LAST task has entered the queue (immediately or once space
   // frees), so a client window counts the batch as one in-flight unit. A
   // batch holding any seq already admitted or already pending is refused
-  // whole with kInvalidArgument at once.
+  // whole with kInvalidArgument at once, and so is a batch ending in the
+  // eos task (a write stream's close) that does not start at the next seq
+  // to admit.
   void AsyncPushAll(std::uint64_t first_seq, std::vector<DataTask> tasks,
                     AdmitFn on_admitted);
 

@@ -26,7 +26,8 @@
 // layout or an opcode's meaning changes (v2: the header grew from 32 to 40
 // bytes when `principal` was added; v3: the management opcodes moved from
 // 990-998 to 56-62; v4: a stream write frame carries 1..N chunks and the
-// batch write opcode 37 is retired).
+// batch write opcode 37 is retired; v5: a write stream's close carries its
+// last 0..N chunks, which a v4 server would drop, ending the stream early).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +44,12 @@ inline constexpr std::size_t kFrameHeaderSize = 2 + 2 + 8 + 8 + 8 + 8 + 4;
 
 // Connection preamble: 4 magic bytes + u32 wire version (little-endian),
 // exchanged once per TCP connection before the first frame in either
-// direction. v4 = the 40-byte header with the `principal` field, the
-// management opcodes at 56-62, and multi-chunk stream write frames.
+// direction. v5 = the 40-byte header with the `principal` field, the
+// management opcodes at 56-62, multi-chunk stream write frames, and write
+// stream closes that carry chunks.
 inline constexpr std::size_t kWirePreambleSize = 8;
 inline constexpr std::uint8_t kWireMagic[4] = {'G', 'L', 'D', 'R'};
-inline constexpr std::uint32_t kWireVersion = 4;
+inline constexpr std::uint32_t kWireVersion = 5;
 
 inline void EncodeWirePreamble(std::uint8_t (&out)[kWirePreambleSize]) {
   for (int i = 0; i < 4; ++i) out[i] = kWireMagic[i];

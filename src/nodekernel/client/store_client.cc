@@ -8,6 +8,15 @@ Result<std::unique_ptr<StoreClient>> StoreClient::Connect(Options options) {
   if (options.transport == nullptr) {
     return Status::InvalidArgument("StoreClient needs a transport");
   }
+  // A zero chunk size never advances a stream write, and a zero window
+  // leaves a stream read with no operation in flight to wait on.
+  if (options.chunk_size == 0) {
+    return Status::InvalidArgument("StoreClient chunk_size must be at least 1");
+  }
+  if (options.inflight_window == 0) {
+    return Status::InvalidArgument(
+        "StoreClient inflight_window must be at least 1");
+  }
   if (!options.control_link) {
     options.control_link = net::LinkModel::Unshaped(
         LinkClass::kControl,

@@ -42,8 +42,9 @@ class StoreClient {
     std::size_t inflight_window = 4;      // async stream ops kept in flight
     // Chunks per action-stream write frame (one kStreamWrite RPC). 1: every
     // chunk ships as soon as it is full, so interactive flows never wait on
-    // a partly filled frame. Raise for small-chunk bulk streams;
-    // ActionWriter::Close always ships the last frame.
+    // a partly filled frame. Raise for small-chunk bulk streams. The last
+    // frame, partly filled or not yet shipped, rides ActionWriter::Close's
+    // kStreamClose instead.
     std::size_t write_batch_chunks = 1;
   };
 

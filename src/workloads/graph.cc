@@ -158,19 +158,28 @@ Result<testing::ClusterOptions> ClusterOptionsFromSpec(
   o.internal_bandwidth_bps = static_cast<std::uint64_t>(internal_bps);
   GLIDER_ASSIGN_OR_RETURN(auto rdma, section.GetBoolOr("internal_rdma", false));
   o.internal_link_class = rdma ? LinkClass::kRdma : LinkClass::kInternal;
+  // Stream sizes below 1 have no meaning: a zero chunk size never advances
+  // a write, a zero window pops an empty in-flight queue, and a negative
+  // value would wrap to a huge size.
+  const auto stream_size = [&section](const char* key,
+                                      std::size_t fallback)
+      -> Result<std::size_t> {
+    GLIDER_ASSIGN_OR_RETURN(
+        auto value, section.GetIntOr(key, static_cast<long long>(fallback)));
+    if (value < 1) {
+      return Status::InvalidArgument(section.Describe() + ": cluster key '" +
+                                     key + "' must be at least 1, not " +
+                                     std::to_string(value));
+    }
+    return static_cast<std::size_t>(value);
+  };
+  GLIDER_ASSIGN_OR_RETURN(o.chunk_size,
+                          stream_size("chunk_size", o.chunk_size));
+  GLIDER_ASSIGN_OR_RETURN(o.inflight_window,
+                          stream_size("inflight_window", o.inflight_window));
   GLIDER_ASSIGN_OR_RETURN(
-      auto chunk_size,
-      section.GetIntOr("chunk_size", static_cast<long long>(o.chunk_size)));
-  o.chunk_size = static_cast<std::size_t>(chunk_size);
-  GLIDER_ASSIGN_OR_RETURN(
-      auto inflight,
-      section.GetIntOr("inflight_window",
-                       static_cast<long long>(o.inflight_window)));
-  o.inflight_window = static_cast<std::size_t>(inflight);
-  GLIDER_ASSIGN_OR_RETURN(
-      auto batch, section.GetIntOr("write_batch_chunks",
-                                   static_cast<long long>(o.write_batch_chunks)));
-  o.write_batch_chunks = static_cast<std::size_t>(batch);
+      o.write_batch_chunks,
+      stream_size("write_batch_chunks", o.write_batch_chunks));
   const auto unread = section.UnreadKeys();
   if (!unread.empty()) {
     return Status::InvalidArgument(section.Describe() +

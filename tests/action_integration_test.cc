@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/metrics_registry.h"
 #include "glider/client/action_node.h"
 #include "testing/cluster.h"
 #include "workloads/actions.h"
@@ -286,11 +287,12 @@ TEST_P(ActionIntegrationTest, ActionsDistributeAcrossActiveServers) {
   EXPECT_EQ(addresses.size(), 2u);
 }
 
-// Every write is one kStreamWrite frame of 1..write_batch_chunks chunks.
-// Seven full chunks and a partial remainder (8 chunks) go out as 8 one-chunk
-// frames, or as frames of 3, 3 and 2 chunks, the last shipped by Close. The
-// FaaS link sees one operation per frame plus the close, and the merged
-// dictionaries are equal.
+// Every write is one kStreamWrite frame of 1..write_batch_chunks chunks,
+// and the close carries the frame in progress. Seven full chunks and a
+// partial remainder (8 chunks) go out as 7 one-chunk frames and a close
+// carrying the remainder, or as frames of 3 and 3 chunks and a close
+// carrying 2. The FaaS link sees one operation per frame plus the close,
+// and the merged dictionaries are equal.
 TEST_P(ActionIntegrationTest, WriteFramesCarryOneOrMoreChunks) {
   workloads::RegisterWorkloadActions();
   const std::size_t chunk = cluster_->options().chunk_size;
@@ -306,7 +308,7 @@ TEST_P(ActionIntegrationTest, WriteFramesCarryOneOrMoreChunks) {
     std::uint64_t ops_after_close;
   };
   std::vector<std::string> merged;
-  for (const Case& c : {Case{1, 7, 9}, Case{3, 2, 4}}) {
+  for (const Case& c : {Case{1, 7, 8}, Case{3, 2, 3}}) {
     SCOPED_TRACE("write_batch_chunks " + std::to_string(c.batch));
     auto metrics = std::make_shared<Metrics>();
     nk::StoreClient::Options copts;
@@ -331,7 +333,8 @@ TEST_P(ActionIntegrationTest, WriteFramesCarryOneOrMoreChunks) {
     const std::uint64_t frames = c.ops_after_close - 1;
     EXPECT_EQ(metrics->Operations(LinkClass::kFaas) - ops, c.ops_after_close);
     // Each frame: a header, stream id and first seq, then a u32 length
-    // before each of the 8 chunks. The close: a header, stream id and seq.
+    // before each of the 8 chunks. The close: a header, stream id and seq,
+    // then the chunks it carries.
     EXPECT_EQ(metrics->BytesSent(LinkClass::kFaas) - sent,
               frames * (net::kFrameHeaderSize + 16) + 8 * 4 + text.size() +
                   net::kFrameHeaderSize + 16);
@@ -339,6 +342,50 @@ TEST_P(ActionIntegrationTest, WriteFramesCarryOneOrMoreChunks) {
   }
   EXPECT_FALSE(merged[0].empty());
   EXPECT_EQ(merged[0], merged[1]);
+}
+
+// A one-write stream is two FaaS operations: the open, and the close that
+// carries the stream's only (partial) chunk. The action merges the chunk,
+// and the slot counts its bytes in.
+TEST_P(ActionIntegrationTest, OneWriteStreamIsTwoOperations) {
+  workloads::RegisterWorkloadActions();
+  std::string text;
+  std::map<int, long long> sums;
+  for (int i = 0; text.size() < 4096; ++i) {
+    const int key = 10 + i % 16;
+    const long long value = 100000000000LL + i;
+    text += std::to_string(key) + "," + std::to_string(value) + "\n";
+    sums[key] += value;
+  }
+  ASSERT_EQ(text.size(), 4096u);
+  ASSERT_LT(text.size(), cluster_->options().chunk_size);
+  std::string expected;
+  for (const auto& [key, sum] : sums) {
+    expected += std::to_string(key) + "," + std::to_string(sum) + "\n";
+  }
+
+  auto metrics = std::make_shared<Metrics>();
+  nk::StoreClient::Options copts;
+  copts.transport = &cluster_->transport();
+  copts.metadata_address = cluster_->metadata_address();
+  copts.data_link = net::LinkModel::Unshaped(LinkClass::kFaas, metrics);
+  copts.chunk_size = cluster_->options().chunk_size;
+  auto client = nk::StoreClient::Connect(std::move(copts));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto node = ActionNode::Create(**client, "/one_write", "glider.merge");
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  obs::Counter& bytes_in = obs::MetricsRegistry::Global().GetCounter(
+      "active.slot" + std::to_string(node->info().slot.block) + ".bytes_in");
+
+  const std::uint64_t ops = metrics->Operations(LinkClass::kFaas);
+  const std::uint64_t in_before = bytes_in.value();
+  auto writer = node->OpenWriter();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->Write(text).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  EXPECT_EQ(metrics->Operations(LinkClass::kFaas) - ops, 2u);
+  EXPECT_EQ(bytes_in.value() - in_before, text.size());
+  EXPECT_EQ(ReadAll(*node), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, ActionIntegrationTest,

@@ -308,6 +308,52 @@ TEST_F(FailureTest, RefusedCloseFailsAndFreesTheSlot) {
   // wait on the refused stream.
 }
 
+// A close whose end-of-stream seq runs ahead of the writes (here seq 5
+// after one acked write at seq 0) would wait for writes that never come. It
+// fails at once instead of parking, and frees the slot the same way.
+TEST_F(FailureTest, AheadCloseFailsAndFreesTheSlot) {
+  workloads::RegisterWorkloadActions();
+  auto node = ActionNode::Create(*client_, "/ahead", "glider.merge");
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  auto conn = cluster_->transport().Connect(node->info().slot.address,
+                                            nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  core::StreamOpenRequest open;
+  open.slot = node->info().slot.block;
+  open.mode = core::StreamMode::kWrite;
+  auto opened =
+      net::Call<core::StreamOpenResponse>(**conn, core::kStreamOpen, open);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  core::StreamWriteRequest write;
+  write.stream_id = opened->stream_id;
+  write.first_seq = 0;
+  write.chunks = {Buffer::FromString("a,1\n")};
+  ASSERT_TRUE(net::CallVoid(**conn, core::kStreamWrite, write).ok());
+
+  core::StreamCloseRequest close;
+  close.stream_id = opened->stream_id;
+  close.seq = 5;  // seqs 1..4 never come
+  net::Message request;
+  request.opcode = core::kStreamClose;
+  request.payload = close.Encode();
+  auto closed = (*conn)->Call(std::move(request));
+  ASSERT_EQ(closed.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the ahead close was never answered";
+  auto reply = closed.get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(net::ToResult(std::move(reply).value()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto writer = node->OpenWriter();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->Write("b,2\n").ok());
+  EXPECT_TRUE((*writer)->Close().ok());
+  // The fixture's teardown then joins every method worker: none may still
+  // wait on the refused stream.
+}
+
 TEST_F(FailureTest, DeleteWhileNotStreamingIsClean) {
   auto node = ActionNode::Create(*client_, "/d", "fail.ignoring");
   ASSERT_TRUE(node.ok());

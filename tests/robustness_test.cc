@@ -3,11 +3,17 @@
 // deterministic mutations), and servers reject garbage cleanly.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+
 #include "common/random.h"
+#include "glider/client/action_node.h"
 #include "glider/protocol.h"
 #include "net/message.h"
+#include "net/rpc_client.h"
 #include "nodekernel/protocol.h"
 #include "testing/cluster.h"
+#include "workloads/actions.h"
 
 namespace glider {
 namespace {
@@ -94,6 +100,16 @@ TEST(RobustnessTest, ProtocolStructsSurviveTruncation) {
     TruncationSweep<core::StreamWriteRequest>(req.Encode());
   }
   {
+    core::StreamCloseRequest req;
+    req.stream_id = 9;
+    req.seq = 3;
+    TruncationSweep<core::StreamCloseRequest>(req.Encode());
+    req.chunks = {Buffer::FromString("abc")};
+    TruncationSweep<core::StreamCloseRequest>(req.Encode());
+    req.chunks.push_back(Buffer::FromString("defgh"));
+    TruncationSweep<core::StreamCloseRequest>(req.Encode());
+  }
+  {
     core::ActionCreateRequest req;
     req.action_type = "x";
     req.config = Buffer::FromString("cfg");
@@ -125,6 +141,28 @@ TEST(RobustnessTest, OneChunkWriteFrameKeepsItsLayout) {
   EXPECT_EQ(decoded->first_seq, req.first_seq);
   ASSERT_EQ(decoded->chunks.size(), 1u);
   EXPECT_EQ(decoded->chunks.front().ToString(), "abc");
+}
+
+// A close that carries no chunk keeps the close layout of wire v4, byte for
+// byte: u64 stream_id, u64 seq, little-endian (16 bytes). A reader's close
+// and a writer's close on a frame boundary are this.
+TEST(RobustnessTest, ZeroChunkCloseKeepsItsLayout) {
+  core::StreamCloseRequest req;
+  req.stream_id = 0x0102030405060708;
+  req.seq = 0x1112131415161718;
+  const std::vector<std::uint8_t> expected = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // stream_id
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11};  // seq
+  const Buffer frame = req.Encode();
+  const std::uint8_t* bytes = frame.data();
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes, bytes + frame.size()), expected);
+
+  auto decoded = core::StreamCloseRequest::Decode(
+      Buffer(expected.data(), expected.size()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->stream_id, req.stream_id);
+  EXPECT_EQ(decoded->seq, req.seq);
+  EXPECT_TRUE(decoded->chunks.empty());
 }
 
 // Live servers must answer malformed payloads with errors, not crash.
@@ -184,6 +222,16 @@ TEST(RobustnessTest, UnknownStreamAndSlotIdsRejected) {
       (*conn)->CallSync(core::kStreamRead, read.Encode()).status().code(),
       StatusCode::kNotFound);
 
+  // A bare close of an unknown stream is an idempotent success; a close
+  // carrying chunks fails like the write, since its chunks are lost.
+  core::StreamCloseRequest close;
+  close.stream_id = 424242;
+  EXPECT_TRUE((*conn)->CallSync(core::kStreamClose, close.Encode()).ok());
+  close.chunks = {Buffer::FromString("x")};
+  EXPECT_EQ(
+      (*conn)->CallSync(core::kStreamClose, close.Encode()).status().code(),
+      StatusCode::kNotFound);
+
   core::StreamOpenRequest open;
   open.slot = 12345;
   EXPECT_FALSE((*conn)->CallSync(core::kStreamOpen, open.Encode()).ok());
@@ -193,6 +241,66 @@ TEST(RobustnessTest, UnknownStreamAndSlotIdsRejected) {
   EXPECT_EQ(
       (*conn)->CallSync(core::kActionStat, stat.Encode()).status().code(),
       StatusCode::kNotFound);
+}
+
+// A close whose chunks take a seq already admitted is refused whole: it
+// fails at once, none of its chunks reaches the action, and its stream is
+// aborted, so the slot's turn is freed for the next writer.
+TEST(RobustnessTest, StaleCloseWithChunksIsRefusedAndFreesTheSlot) {
+  workloads::RegisterWorkloadActions();
+  auto cluster = testing::MiniCluster::Start({});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto client = (*cluster)->NewInternalClient();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto node = core::ActionNode::Create(**client, "/stale", "glider.merge");
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  auto conn = (*cluster)->transport().Connect(node->info().slot.address,
+                                              nullptr);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  core::StreamOpenRequest open;
+  open.slot = node->info().slot.block;
+  open.mode = core::StreamMode::kWrite;
+  auto opened =
+      net::Call<core::StreamOpenResponse>(**conn, core::kStreamOpen, open);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  core::StreamWriteRequest write;
+  write.stream_id = opened->stream_id;
+  write.first_seq = 0;
+  write.chunks = {Buffer::FromString("1,1\n")};
+  ASSERT_TRUE(net::CallVoid(**conn, core::kStreamWrite, write).ok());
+
+  core::StreamCloseRequest close;
+  close.stream_id = opened->stream_id;
+  close.seq = 0;  // already taken by the write
+  close.chunks = {Buffer::FromString("5,100\n"), Buffer::FromString("6,1\n")};
+  net::Message request;
+  request.opcode = core::kStreamClose;
+  request.payload = close.Encode();
+  auto closed = (*conn)->Call(std::move(request));
+  ASSERT_EQ(closed.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "the refused close was never answered";
+  auto reply = closed.get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(net::ToResult(std::move(reply).value()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  auto writer = node->OpenWriter();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE((*writer)->Write("7,2\n").ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto reader = node->OpenReader();
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::string merged;
+  while (true) {
+    auto chunk = (*reader)->ReadChunk();
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (chunk->empty()) break;
+    merged += chunk->ToString();
+  }
+  EXPECT_TRUE((*reader)->Close().ok());
+  EXPECT_EQ(merged, "1,1\n7,2\n");
 }
 
 }  // namespace

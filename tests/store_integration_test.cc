@@ -142,6 +142,23 @@ TEST_P(StoreIntegrationTest, DeleteFreesBlocksAndStorage) {
   EXPECT_EQ(cluster_->metrics()->StoredBytes(), 0);
 }
 
+// A zero chunk size or in-flight window is refused at connect, naming the
+// field, instead of hanging the first stream that uses it.
+TEST_P(StoreIntegrationTest, ConnectRefusesZeroStreamSizes) {
+  for (const std::string field : {"chunk_size", "inflight_window"}) {
+    SCOPED_TRACE(field);
+    nk::StoreClient::Options options;
+    options.transport = &cluster_->transport();
+    options.metadata_address = cluster_->metadata_address();
+    (field == "chunk_size" ? options.chunk_size : options.inflight_window) = 0;
+    auto client = nk::StoreClient::Connect(std::move(options));
+    ASSERT_FALSE(client.ok());
+    EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(client.status().ToString().find(field), std::string::npos)
+        << client.status().ToString();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, StoreIntegrationTest,
                          ::testing::Values(false, true),
                          [](const auto& info) {

@@ -441,6 +441,58 @@ TEST(StreamChannelTest, DuplicatePushFailsAtOnce) {
   EXPECT_EQ((*popped)[1].data.ToString(), "b");
 }
 
+// A write stream's close: its last chunks and the eos enter as one batch,
+// and the consumer takes them, eos last, in one pop.
+TEST(StreamChannelTest, CloseBatchComesOutOfOnePop) {
+  Answer<Status> admitted;
+  StreamChannel channel(4);
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
+  std::vector<DataTask> close = Tasks({"b", "c"});
+  close.emplace_back().eos = true;
+  channel.AsyncPushAll(1, std::move(close), admitted.Callback());
+  const auto answer = admitted.Wait();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_TRUE(answer->ok());
+
+  auto popped = channel.BlockingPopAll(nullptr, 16);
+  ASSERT_TRUE(popped.ok());
+  ASSERT_EQ(popped->size(), 4u);
+  EXPECT_EQ((*popped)[0].data.ToString(), "a");
+  EXPECT_EQ((*popped)[1].data.ToString(), "b");
+  EXPECT_EQ((*popped)[2].data.ToString(), "c");
+  EXPECT_TRUE((*popped)[3].eos);
+  EXPECT_EQ(channel.size(), 0u);
+}
+
+// An eos batch that does not start at the next seq to admit would wait for
+// writes its writer never sends (a writer closes only once every write is
+// acked): it is refused whole at once, and the stream can still end.
+TEST(StreamChannelTest, CloseAheadOfTheWritesIsRefused) {
+  Answer<Status> ahead;
+  Answer<Status> in_order;
+  StreamChannel channel(4);
+  channel.AsyncPushAll(0, Tasks({"a"}), [](Status) {});
+  std::vector<DataTask> early = Tasks({"x"});
+  early.emplace_back().eos = true;
+  channel.AsyncPushAll(5, std::move(early), ahead.Callback());
+  const auto answer = ahead.Wait();
+  ASSERT_TRUE(answer.has_value()) << "an ahead close parked its ack";
+  EXPECT_EQ(answer->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(channel.size(), 1u);  // no part of the batch was admitted
+
+  std::vector<DataTask> close;
+  close.emplace_back().eos = true;
+  channel.AsyncPushAll(1, std::move(close), in_order.Callback());
+  const auto closed = in_order.Wait();
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_TRUE(closed->ok());
+  auto popped = channel.BlockingPopAll(nullptr, 16);
+  ASSERT_TRUE(popped.ok());
+  ASSERT_EQ(popped->size(), 2u);
+  EXPECT_EQ((*popped)[0].data.ToString(), "a");
+  EXPECT_TRUE((*popped)[1].eos);
+}
+
 // A read whose seq was already served is refused at once instead of
 // parking forever.
 TEST(StreamChannelTest, StalePopFailsAtOnce) {

@@ -128,6 +128,23 @@ TEST(SpecBuildTest, UnknownClusterAndGlobalKeysRejected) {
   EXPECT_TRUE(ErrorMentions(BuildGraph(*spec).status(), {"nmae"}));
 }
 
+// Stream sizes below 1 are refused at parse time: a zero chunk size would
+// make every action write loop forever, a zero window would read from an
+// empty in-flight queue, and a negative batch would wrap to 2^64 - 1.
+TEST(SpecBuildTest, StreamSizesBelowOneRejected) {
+  for (const char* line : {"chunk_size = 0", "write_batch_chunks = -1",
+                           "inflight_window = 0"}) {
+    SCOPED_TRACE(line);
+    auto spec = ParseSpec(std::string("[cluster]\n") + line +
+                              "\n[node d]\ntype = file.delete\npath = /x\n",
+                          "t.spec");
+    ASSERT_TRUE(spec.ok());
+    const std::string key(line, std::string_view(line).find(' '));
+    EXPECT_TRUE(ErrorMentions(BuildGraph(*spec).status(),
+                              {"t.spec", "cluster", key.c_str()}));
+  }
+}
+
 TEST(SpecBuildTest, GraphNeedsNodesAndLoadNeedsAKnownRequestNode) {
   auto spec = ParseSpec("name = empty\n", "t.spec");
   ASSERT_TRUE(spec.ok());
